@@ -79,8 +79,6 @@ from repro.sim import (
     EngineCapabilityError,
     ExecutionResult,
     SweepCell,
-    SweepJob,
-    SweepJobResult,
     SweepSpec,
     SweepSummaryFold,
     VectorExecutionResult,
@@ -99,6 +97,17 @@ from repro.sim import (
 from repro.analysis import compare_to_bound, render_table
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # The sweep-job names resolve lazily (see repro.sim), so importing the
+    # package never imports repro.sim.job ahead of ``python -m repro.sim.job``.
+    if name in ("SweepJob", "SweepJobResult"):
+        import repro.sim
+
+        return getattr(repro.sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlgorithmBounds",

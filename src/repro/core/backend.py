@@ -146,7 +146,11 @@ class ArrayNamespace:
             # Dunder/private probes (copy.copy, pickling, IPython) must see a
             # plain AttributeError, not a capability error.
             raise AttributeError(op)
-        return self._resolve(op)
+        resolved = self._resolve(op)
+        # Resolved once per namespace: later lookups of ``op`` are plain
+        # instance attributes and never reach __getattr__ again.
+        self.__dict__[op] = resolved
+        return resolved
 
     def _resolve(self, op: str):
         if self.name == "torch":

@@ -846,26 +846,42 @@ class SeededDelay(DelayModel):
     def tensor_seed(self) -> int:
         return self._seed_mix
 
-    def delay_tensor(self, round_number: int, n: int, seed_mix):
+    def delay_tensor(self, round_number: int, n: int, seed_mix, out=None, scratch=None):
         """Whole-block delay tensor ``delays[e, recipient, sender]``.
 
         Vectorised over the per-execution seed axis; every row is
         bit-identical to probing :meth:`delay` pair by pair.  Backend
-        follows ``seed_mix`` (uint64 arithmetic required).
+        follows ``seed_mix`` (uint64 arithmetic required).  ``out`` and
+        ``scratch`` are optional caller-owned ``(E, n, n)`` buffers with
+        8-byte elements: the PRF keys are mixed in place inside ``scratch``
+        (shifting through ``out``), then scaled into ``out``, whose float64
+        view is returned.
         """
         from repro.core.backend import array_namespace
 
         xp = array_namespace(seed_mix)
         xp.require_uint64("SeededDelay's counter-based PRF draws")
+        seeds = xp.asarray(seed_mix, dtype=xp.uint64)
+        shape = (len(seeds), n, n)
+        delays = _prf_buffer(out, shape, xp.float64, xp, "delay")
+        keys = _prf_buffer(scratch, shape, xp.uint64, xp, "delay scratch")
+        work = delays.view(xp.uint64)
         recipients = xp.arange(n, dtype=xp.uint64) * xp.uint64(KEY_RECIPIENT)
         senders = xp.arange(n, dtype=xp.uint64) * xp.uint64(KEY_SENDER)
-        keys = _np_mix64(
-            xp.asarray(seed_mix, dtype=xp.uint64)[:, None, None]
-            ^ xp.uint64((round_number * KEY_ROUND) & MASK64)
-            ^ recipients[None, :, None]
-            ^ senders[None, None, :]
-        )
-        return self.low + (self.high - self.low) * (keys.astype(xp.float64) * 2.0**-64)
+        slot = seeds[:, None] ^ xp.uint64((round_number * KEY_ROUND) & MASK64) ^ recipients
+        span = self.high - self.low
+        for rows in row_slabs(len(seeds), n * n):
+            # low + span * (float(key) * 2**-64), one step at a time: the
+            # uint64 -> float64 cast and each multiply/add round exactly as in
+            # the scalar path, so the delays stay bit-identical.
+            slab = keys[rows]
+            xp.bitwise_xor(slot[rows, :, None], senders, out=slab)
+            _mix64_inplace(slab, work[rows], xp)
+            result = delays[rows]
+            xp.multiply(slab, 2.0**-64, out=result)
+            xp.multiply(result, span, out=result)
+            xp.add(result, self.low, out=result)
+        return delays
 
     def delay_block(self, round_number: int, n: int):
         """The round's full delay matrix ``delays[recipient][sender]``.
@@ -961,7 +977,7 @@ class OmissionPolicy(abc.ABC):
         """Per-execution pre-mixed PRF seed consumed by :meth:`rank_tensor`."""
         return 0
 
-    def rank_tensor(self, round_number: int, n: int, seed_mix):
+    def rank_tensor(self, round_number: int, n: int, seed_mix, out=None, scratch=None):
         """Whole-block rank tensor ``rank[e, recipient, sender]``.
 
         ``seed_mix`` is a length-``E`` uint64 vector of per-execution seeds
@@ -970,6 +986,11 @@ class OmissionPolicy(abc.ABC):
         describes — the quorum of every recipient is the ``m`` candidates
         with the smallest ``(rank, sender)`` pairs.  Returns ``None`` when
         the policy has no tensor form.  Requires numpy.
+
+        ``out`` and ``scratch`` are optional caller-owned ``(E, n, n)``
+        buffers with 8-byte elements, reused across rounds: PRF programs
+        compute their ranks in place inside them (the result may be a view
+        of ``out``); other programs ignore them.
         """
         return None
 
@@ -981,9 +1002,9 @@ class OmissionPolicy(abc.ABC):
 
 
 #: 64-bit mask and the multiplicative constants of the MurmurHash3 finalizer.
-#: These are shared, by name, with the numpy reimplementation in
-#: :mod:`repro.sim.ndbatch`; the two implementations must agree bit for bit
-#: (guarded by ``tests/sim/test_ndbatch.py``).
+#: The scalar mixer (:func:`mix64`) and its array form (:func:`_np_mix64`,
+#: below) share these by name and must agree bit for bit (guarded by
+#: ``tests/sim/test_ndbatch.py`` and ``tests/property/test_prf_buffers.py``).
 MASK64 = (1 << 64) - 1
 MIX64_MULT1 = 0xFF51AFD7ED558CCD
 MIX64_MULT2 = 0xC4CEB9FE1A85EC53
@@ -1013,15 +1034,65 @@ def _np_mix64(x):
     implementation behind every PRF tensor (rank keys, value draws, delay
     draws), bit-identical to the scalar mixer by construction.  Runs on any
     backend with numpy-semantics uint64 arithmetic (numpy, cupy); backends
-    without it (torch) are refused loudly."""
+    without it (torch) are refused loudly.  Returns a fresh array; the
+    mixing itself runs in place (:func:`_mix64_inplace`)."""
     from repro.core.backend import array_namespace
 
     xp = array_namespace(x)
     xp.require_uint64("the PRF mix kernel (_np_mix64)")
+    scratch = x >> xp.uint64(33)
+    mixed = x ^ scratch
+    return _mix64_inplace(mixed, scratch, xp, first_shift_done=True)
+
+
+def _mix64_inplace(x, scratch, xp, first_shift_done: bool = False):
+    """Apply :func:`mix64` to the uint64 array ``x`` in place.
+
+    ``scratch`` is a same-shaped uint64 buffer the shifts go through, so
+    the eight mixing steps allocate nothing.  With ``first_shift_done`` the
+    caller has already folded ``x ^= x >> 33`` into ``x``.
+    """
     shift = xp.uint64(33)
-    x = (x ^ (x >> shift)) * xp.uint64(MIX64_MULT1)
-    x = (x ^ (x >> shift)) * xp.uint64(MIX64_MULT2)
-    return x ^ (x >> shift)
+    if not first_shift_done:
+        xp.right_shift(x, shift, out=scratch)
+        xp.bitwise_xor(x, scratch, out=x)
+    xp.multiply(x, xp.uint64(MIX64_MULT1), out=x)
+    xp.right_shift(x, shift, out=scratch)
+    xp.bitwise_xor(x, scratch, out=x)
+    xp.multiply(x, xp.uint64(MIX64_MULT2), out=x)
+    xp.right_shift(x, shift, out=scratch)
+    xp.bitwise_xor(x, scratch, out=x)
+    return x
+
+
+def _prf_buffer(buffer, shape, dtype, xp, what: str):
+    """``buffer`` checked against ``shape`` (C-contiguous, 8-byte elements,
+    viewed as ``dtype``), or a fresh array when the caller passed none."""
+    if buffer is None:
+        return xp.empty(shape, dtype=dtype)
+    if (
+        tuple(buffer.shape) != tuple(shape)
+        or buffer.dtype.itemsize != 8
+        or not buffer.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"{what} buffer must be C-contiguous with shape {tuple(shape)} and "
+            f"8-byte elements, got shape {tuple(buffer.shape)} of {buffer.dtype}"
+        )
+    return buffer if buffer.dtype == dtype else buffer.view(dtype)
+
+
+#: Elements per slab of the in-place tensor pipelines (512 KiB of uint64 per
+#: buffer).  Each pipeline runs all of its steps over one slab of rows before
+#: moving to the next, so the buffers it streams through stay in cache
+#: between steps instead of making one memory pass per step.
+SLAB_ELEMENTS = 1 << 16
+
+
+def row_slabs(rows: int, row_elements: int):
+    """Slices covering ``range(rows)`` in slabs of about :data:`SLAB_ELEMENTS`."""
+    step = max(1, SLAB_ELEMENTS // max(1, row_elements))
+    return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
 
 
 #: The low bits of every rank key hold the sender id (see below).
@@ -1050,7 +1121,7 @@ def seeded_rank_key(seed_mix: int, round_number: int, recipient: int, sender: in
     return (mix64(slot ^ (sender * KEY_SENDER)) & ~SENDER_MASK) | sender
 
 
-def seeded_rank_key_block(seed_mix, round_number: int, n: int):
+def seeded_rank_key_block(seed_mix, round_number: int, n: int, out=None, scratch=None):
     """Vectorised :func:`seeded_rank_key` over whole key matrices (numpy).
 
     ``seed_mix`` is a pre-mixed seed — a scalar or an array of any shape —
@@ -1061,6 +1132,13 @@ def seeded_rank_key_block(seed_mix, round_number: int, n: int):
     per-round key cache evaluates it for one seed, the ndbatch engine for a
     whole block of seeds — keeping the two engines' quorums identical by
     construction rather than by parallel maintenance.
+
+    ``out`` and ``scratch`` are optional caller-owned buffers of the
+    result's shape with 8-byte elements.  The keys are written into ``out``
+    (returned) and the mixing shifts go through ``scratch``, so a caller
+    reusing both across rounds allocates nothing per round; whatever the
+    buffers held before is overwritten (guarded by
+    ``tests/property/test_prf_buffers.py``).
 
     Requires an array backend with uint64 arithmetic — numpy by default,
     cupy when ``seed_mix`` lives on a device (imported lazily; scalar
@@ -1076,12 +1154,23 @@ def seeded_rank_key_block(seed_mix, round_number: int, n: int):
     xp = array_namespace(seed_mix)
     xp.require_uint64("seeded_rank_key_block's counter-based PRF keys")
     seed = xp.asarray(seed_mix, dtype=xp.uint64)
+    shape = seed.shape + (n, n)
+    out = _prf_buffer(out, shape, xp.uint64, xp, "rank key")
+    scratch = _prf_buffer(scratch, shape, xp.uint64, xp, "rank key scratch")
     round_part = xp.uint64((round_number * KEY_ROUND) & MASK64)
     recipients = xp.arange(n, dtype=xp.uint64) * xp.uint64(KEY_RECIPIENT)
     senders = xp.arange(n, dtype=xp.uint64) * xp.uint64(KEY_SENDER)
-    slot = _np_mix64(seed[..., None] ^ round_part ^ recipients)
-    mixed = _np_mix64(slot[..., :, None] ^ senders)
-    return (mixed & xp.uint64(MASK64 ^ SENDER_MASK)) | xp.arange(n, dtype=xp.uint64)
+    slot = _np_mix64(seed.reshape(-1, 1) ^ round_part ^ recipients)
+    keys, work = out.reshape(-1, n, n), scratch.reshape(-1, n, n)
+    high_bits = xp.uint64(MASK64 ^ SENDER_MASK)
+    sender_ids = xp.arange(n, dtype=xp.uint64)
+    for rows in row_slabs(len(keys), n * n):
+        slab = keys[rows]
+        xp.bitwise_xor(slot[rows, :, None], senders, out=slab)
+        _mix64_inplace(slab, work[rows], xp)
+        xp.bitwise_and(slab, high_bits, out=slab)
+        xp.bitwise_or(slab, sender_ids, out=slab)
+    return out
 
 
 class SeededOmission(OmissionPolicy):
@@ -1181,13 +1270,13 @@ class SeededOmission(OmissionPolicy):
     def tensor_seed(self) -> int:
         return self._seed_mix
 
-    def rank_tensor(self, round_number: int, n: int, seed_mix):
+    def rank_tensor(self, round_number: int, n: int, seed_mix, out=None, scratch=None):
         """Whole-block uint64 rank keys (see :func:`seeded_rank_key_block`).
 
         Keys embed the sender id in their low :data:`SENDER_BITS` bits, so
         rows are tie-free and sorting key values alone is quorum selection.
         """
-        return seeded_rank_key_block(seed_mix, round_number, n)
+        return seeded_rank_key_block(seed_mix, round_number, n, out=out, scratch=scratch)
 
     def reset(self) -> None:
         return None
@@ -1231,15 +1320,18 @@ class DelayRankOmission(OmissionPolicy):
     def tensor_seed(self) -> int:
         return self.delay_model.tensor_seed()
 
-    def rank_tensor(self, round_number: int, n: int, seed_mix):
+    def rank_tensor(self, round_number: int, n: int, seed_mix, out=None, scratch=None):
         """Whole-block delay tensor as ranks (see :meth:`DelayModel.delay_tensor`).
 
         One bulk query answers every quorum of the round for a whole block of
         executions: deterministic models probe their ``n × n`` matrix once
-        and broadcast, PRF models (:class:`SeededDelay`) vectorise over the
-        seed axis.
+        and return a zero-stride broadcast of it (which the vectorised engine
+        orders once per round), PRF models (:class:`SeededDelay`) vectorise
+        over the seed axis inside the caller's ``out``/``scratch`` buffers.
         """
-        return self.delay_model.delay_tensor(round_number, n, seed_mix)
+        return self.delay_model.delay_tensor(
+            round_number, n, seed_mix, out=out, scratch=scratch
+        )
 
     def rank_block(self, round_number: int, n: int) -> Optional[List[List[float]]]:
         """The round's full delay matrix, for stateless delay models.

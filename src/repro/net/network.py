@@ -118,7 +118,7 @@ class DelayModel(abc.ABC):
         """
         return 0
 
-    def delay_tensor(self, round_number: int, n: int, seed_mix):
+    def delay_tensor(self, round_number: int, n: int, seed_mix, out=None, scratch=None):
         """Whole-block delay tensor ``delays[e, recipient, sender]``.
 
         ``seed_mix`` is a length-``E`` uint64 vector of per-execution
@@ -126,10 +126,15 @@ class DelayModel(abc.ABC):
         ``(E, n, n)`` and every row must equal probing :meth:`delay` pair by
         pair, bit for bit.  The default implementation covers every
         deterministic program (non-``None`` :meth:`tensor_key`): the round's
-        ``n × n`` matrix is probed *once* and broadcast across the block —
-        seed-driven models override with a truly vectorised computation.
-        Returns ``None`` when the model has no tensor form.  Requires numpy
-        (only the vectorised engine calls it).
+        ``n × n`` matrix is probed *once* and returned as a zero-stride
+        broadcast across the block (``strides[0] == 0``), which tells the
+        vectorised engine that every execution shares one matrix, so it
+        orders the matrix once per round instead of once per execution.
+        Seed-driven models override with a truly vectorised computation and
+        may compute in place inside the optional caller-owned ``out`` and
+        ``scratch`` buffers (``(E, n, n)``, 8-byte elements); the default
+        ignores them.  Returns ``None`` when the model has no tensor form.
+        Requires numpy (only the vectorised engine calls it).
         """
         if self.tensor_key() is None:
             return None

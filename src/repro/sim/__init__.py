@@ -1,5 +1,7 @@
 """Simulation harness: runners, metrics, workloads, sweeps, experiment utilities."""
 
+import importlib
+
 from repro.sim.engine import (
     ENGINES,
     ENGINE_CAPABILITIES,
@@ -47,16 +49,6 @@ from repro.sim.experiments import (
     parameter_grid,
     summarize_results,
 )
-from repro.sim.job import (
-    SweepJob,
-    SweepJobError,
-    SweepJobProgress,
-    SweepJobResult,
-    cell_id,
-    cell_shard,
-    fold_sweep_jsonl,
-    scan_sweep_store,
-)
 from repro.sim.metrics import (
     CostSummary,
     contraction_factors,
@@ -99,6 +91,30 @@ from repro.sim.workloads import (
     two_cluster_inputs,
     uniform_inputs,
 )
+
+#: Names served lazily from :mod:`repro.sim.job`.  Importing the package
+#: must not import the job module: ``python -m repro.sim.job`` imports the
+#: package first, and runpy warns when the module it is about to run as
+#: ``__main__`` is already in ``sys.modules``.
+_JOB_EXPORTS = frozenset(
+    {
+        "SweepJob",
+        "SweepJobError",
+        "SweepJobProgress",
+        "SweepJobResult",
+        "cell_id",
+        "cell_shard",
+        "fold_sweep_jsonl",
+        "scan_sweep_store",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _JOB_EXPORTS:
+        return getattr(importlib.import_module("repro.sim.job"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ADVERSARY_SPECS",

@@ -24,28 +24,42 @@ The engine is differentially pinned against the pure-Python batch engine
 (``tests/sim/test_ndbatch_equivalence.py``): identical rounds, message and
 bit counts, and outputs/trajectories within ``1e-9`` (the engines may differ
 in floating-point summation order — ``math.fsum`` versus numpy's pairwise
-summation — but in nothing else).  Three quorum-selection paths keep the
-adversary *bit-identical* across engines:
+summation — but in nothing else).  The quorum-selection paths keep the
+adversary *bit-identical* across engines, and all but the last cost about
+one integer sort per round:
 
 * :class:`~repro.net.adversary.SeededOmission` — its counter-based PRF
   (:func:`~repro.net.adversary.seeded_rank_key`) is re-evaluated here over
   whole ``(executions, recipients, senders)`` uint64 tensors, reproducing the
-  scalar keys exactly;
+  scalar keys exactly.  The keys are mixed in place inside block-owned
+  buffers reused every round, and since each key carries its sender id in
+  its low bits, an in-place ``sort`` of the masked keys *is* selection;
 * policies sharing a tensor fault program
   (:meth:`~repro.net.adversary.OmissionPolicy.rank_tensor`, e.g.
   :class:`~repro.net.adversary.DelayRankOmission` over tensor-programmed
   delay models) — executions are grouped by
   :meth:`~repro.net.adversary.OmissionPolicy.tensor_key` and each group is
   ranked with *one* bulk call per round, per-execution variation carried by
-  the PRF seed vector;
+  the PRF seed vector.  A deterministic program answers with a zero-stride
+  broadcast of one ``n × n`` matrix, which is ordered once per round with a
+  stable sort: executions whose every sender is a candidate take that order
+  directly, the others apply their candidate mask through a small-integer
+  sort.  Per-execution float ranks (:class:`~repro.net.adversary.
+  SeededDelay`) become composite uint64 keys ``(rank bits, sender)`` —
+  non-negative floats order like their bit patterns — so ties break by
+  sender exactly as in the scalar path, with a stable float argsort kept
+  for ranks that do not fit;
 * policies with only a per-execution vector-friendly ranking
   (:meth:`~repro.net.adversary.OmissionPolicy.rank_block`) — one bulk query
-  per execution per round, ranked with a stable lexicographic sort matching
-  the scalar tie-breaking;
+  per execution per round, selected like per-execution float ranks;
 * everything else falls back to per-recipient
   :meth:`~repro.net.adversary.OmissionPolicy.quorum` calls issued in the
   exact order the pure-Python engine would issue them (rounds ascending,
   recipients ascending), so stateful policies stay reproducible.
+
+The chosen senders' values (and Byzantine reports, built directly in
+``(executions, recipient, sender)`` layout) are then gathered with one flat
+``take`` each.
 
 Byzantine value strategies must be ``stateless`` (pure functions of
 ``(round, recipient, observed)``); the engine evaluates them eagerly for
@@ -95,6 +109,7 @@ from repro.net.adversary import (
     SeededOmission,
     mix64,
     round_fault_model,
+    row_slabs,
     seeded_rank_key_block,
 )
 from repro.net.message import Message, message_bits
@@ -123,23 +138,6 @@ _SYNCHRONOUS = frozenset({"sync-crash", "sync-byzantine"})
 _NEVER = np.int64(2**31)
 
 _UINT64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _seeded_keys(seed_mix: np.ndarray, round_number: int, n: int) -> np.ndarray:
-    """Quorum rank keys of one round for a block of seeds.
-
-    ``seed_mix`` has shape ``(E,)``; the result has shape ``(E, n, n)`` with
-    ``keys[e, recipient, sender]`` equal to
-    :func:`~repro.net.adversary.seeded_rank_key` evaluated scalar-by-scalar —
-    one shared vectorised implementation
-    (:func:`~repro.net.adversary.seeded_rank_key_block`) serves both this
-    engine and :class:`~repro.net.adversary.SeededOmission`'s per-round key
-    cache, so the engines' quorums stay identical by construction.  Keys
-    embed the sender id in their low bits, so ``np.sort`` of a key row
-    followed by masking out the low bits *is* quorum selection (no
-    ``argsort`` indirection, no ties possible).
-    """
-    return seeded_rank_key_block(seed_mix, round_number, n)
 
 
 class _Block:
@@ -338,7 +336,22 @@ class _Block:
         self.seed_mix = np.array(
             [mix64(self.policies[e].seed) for e in self.seeded_idx], dtype=np.uint64
         ).reshape(len(self.seeded_idx))
+        self._buffers: Dict[tuple, np.ndarray] = {}
         self._to_device()
+
+    def buffer(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """Block-owned work buffer ``name`` (contents undefined).
+
+        Allocated on first use and reused by every later round, so the
+        per-round selection and gather steps write into the same memory
+        instead of allocating temporaries; it is freed with the block, i.e.
+        with its execution chunk.
+        """
+        key = (name, shape, dtype)
+        buffer = self._buffers.get(key)
+        if buffer is None:
+            buffer = self._buffers[key] = self.xp.empty(shape, dtype=dtype)
+        return buffer
 
     def _to_device(self) -> None:
         """Move the round loop's tensors onto the block's array namespace.
@@ -602,7 +615,7 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
         value_bits = message_bits(Message(kind="VALUE", round=round_number, value=0.0))
 
         if static_structure is not None:
-            sends, updates, cand, cand_count, round_sends = static_structure
+            sends, updates, cand, blocked, cand_count, round_sends = static_structure
         else:
             # Who sends, who updates (the crash model's prefix semantics).
             before_crash = round_number < block.crash_round
@@ -623,9 +636,10 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
             )
             cand &= ~block.silent_mask[:, None, :]
             cand_count = cand.sum(axis=2)
+            blocked = None if bool((cand_count == n).all()) else ~cand
             round_sends = sends.sum(axis=1) + n * block.strategy_counts
             if round_number > last_crash_round:
-                static_structure = (sends, updates, cand, cand_count, round_sends)
+                static_structure = (sends, updates, cand, blocked, cand_count, round_sends)
 
         # Message accounting happens at round entry, exactly like the batch
         # engine (a round that fails liveness mid-way keeps its sends).
@@ -647,7 +661,8 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
             round_delivered = xp.where(active, updates.sum(axis=1) * n, 0)
         else:
             sample, failed_round, round_delivered = _async_samples(
-                block, cand, cand_count, injected, updates, active, round_number, m
+                block, cand, blocked, cand_count, injected, updates, active,
+                round_number, m,
             )
             sample_width = m
         delivered += round_delivered
@@ -688,7 +703,7 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
 
 
 def _injected_values(block: _Block, round_number: int) -> np.ndarray:
-    """Eagerly evaluated strategy reports: ``injected[e, sender, recipient]``.
+    """Eagerly evaluated strategy reports: ``injected[e, recipient, sender]``.
 
     Tensor-programmed strategies (:meth:`~repro.net.adversary.
     ByzantineValueStrategy.value_tensor`) answer whole ``(pid, program)``
@@ -714,7 +729,7 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
                 f"strategy {representative.describe()} declares tensor program "
                 f"{representative.tensor_key()!r} but value_tensor returned None"
             )
-        injected[rows, pid, :] = np.asarray(xp.to_numpy(reports), dtype=np.float64)
+        injected[rows, :, pid] = np.asarray(xp.to_numpy(reports), dtype=np.float64)
     if block.strategy_scalar:
         observed_lists: Dict[int, List[float]] = {}
         for e, sender, strategy in block.strategy_scalar:
@@ -726,12 +741,12 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
                 observed_lists[e] = observed
             reports = strategy.value_block(round_number, n, observed)
             if reports is not None:
-                injected[e, sender, :] = np.asarray(reports, dtype=np.float64)
+                injected[e, :, sender] = np.asarray(reports, dtype=np.float64)
                 continue
             for recipient in range(n):
                 value = strategy.value(round_number, recipient, observed)
                 if isinstance(value, (int, float)):
-                    injected[e, sender, recipient] = float(value)  # inf -> isfinite no
+                    injected[e, recipient, sender] = float(value)  # inf -> isfinite no
     # Normalise ±inf to NaN so one mask covers every non-finite report.
     np.copyto(injected, np.nan, where=~np.isfinite(injected))
     return xp.asarray(injected, dtype=xp.float_dtype)
@@ -746,15 +761,15 @@ def _sync_samples(
     holder_values = block.values[:, None, :]  # (E, 1, sender)
     sample = xp.where(cand & block.holder_mask[:, None, :], holder_values, own)
     if injected is not None:
-        reports = xp.swapaxes(injected, 1, 2)  # (E, recipient, sender)
-        use = cand & block.strategy_mask[:, None, :] & xp.isfinite(reports)
-        sample = xp.where(use, reports, sample)
+        use = cand & block.strategy_mask[:, None, :] & xp.isfinite(injected)
+        sample = xp.where(use, injected, sample)
     return sample
 
 
 def _async_samples(
     block: _Block,
     cand: np.ndarray,
+    blocked: Optional[np.ndarray],
     cand_count: np.ndarray,
     injected: Optional[np.ndarray],
     updates: np.ndarray,
@@ -772,16 +787,10 @@ def _async_samples(
     """
     count, n = block.count, block.n
     xp = block.xp
-    chosen = _choose_quorums(block, cand, cand_count, updates, active, round_number, m)
-
-    e_idx = xp.arange(count)[:, None, None]
-    sample = block.values[e_idx, chosen]
-    if injected is not None:
-        q_idx = xp.arange(n)[None, :, None]
-        strategy_chosen = block.strategy_mask[e_idx, chosen]
-        if strategy_chosen.any():
-            reports = injected[e_idx, chosen, q_idx]
-            sample = xp.where(strategy_chosen, reports, sample)
+    chosen = _choose_quorums(
+        block, cand, blocked, cand_count, updates, active, round_number, m
+    )
+    sample = _gather_samples(block, chosen, injected)
 
     # Liveness / refill bookkeeping.  In-model scenarios never enter either
     # branch: the candidate set always has >= m members and only Byzantine
@@ -809,37 +818,105 @@ def _async_samples(
     return sample, failed_round, round_delivered
 
 
+def _gather_samples(
+    block: _Block, chosen: np.ndarray, injected: Optional[np.ndarray]
+) -> np.ndarray:
+    """The chosen senders' values: ``(E, n, m)``, or ``(E, n, m, d)`` for
+    an ``(E, n, d)`` value state.
+
+    Each gather is one flat ``take``: ``e * n + sender`` addresses the
+    flattened ``(E * n[, d])`` value state, and a Byzantine sender's report
+    to recipient ``q`` sits at ``(e * n + q) * n + sender`` of the
+    ``(E, recipient, sender[, d])`` report tensor.
+    """
+    count, n = block.count, block.n
+    xp = block.xp
+    values = block.values
+    tail = tuple(values.shape[2:])
+    flat = block.buffer("gather.flat", chosen.shape, xp.int64)
+    xp.add(chosen, (xp.arange(count, dtype=xp.int64) * n)[:, None, None], out=flat)
+    sample = xp.take(values.reshape((count * n,) + tail), flat, axis=0)
+    if injected is not None:
+        strategy_chosen = xp.take(block.strategy_mask.reshape(-1), flat)
+        if strategy_chosen.any():
+            # (e * n + sender) + (e * n + q) * n - e * n == (e * n + q) * n + sender
+            to_report = (
+                xp.arange(count, dtype=xp.int64)[:, None, None] * (n * n - n)
+                + xp.arange(n, dtype=xp.int64)[None, :, None] * n
+            )
+            reports = xp.take(
+                injected.reshape((count * n * n,) + tail), flat + to_report, axis=0
+            )
+            if tail:
+                strategy_chosen = strategy_chosen[..., None]
+            sample = xp.where(strategy_chosen, reports, sample)
+    return sample
+
+
 def _choose_quorums(
     block: _Block,
     cand: np.ndarray,
+    blocked: Optional[np.ndarray],
     cand_count: np.ndarray,
     updates: np.ndarray,
     active: np.ndarray,
     round_number: int,
     m: int,
 ) -> np.ndarray:
-    """Quorum index tensor ``chosen[e, recipient, :m]`` for one round."""
+    """Quorum index tensor ``chosen[e, recipient, :m]`` for one round.
+
+    ``blocked`` is ``~cand``, or ``None`` when every sender is a candidate
+    of every recipient.  Each selection mode writes its executions' rows;
+    a mode covering the whole block writes ``chosen`` directly.
+    """
     count, n = block.count, block.n
     xp = block.xp
-    chosen = xp.zeros((count, n, m), dtype=xp.int64)
+    if block.generic_idx:
+        # The per-recipient fallback leaves skipped rows untouched; start
+        # them from a valid index.
+        chosen = xp.zeros((count, n, m), dtype=xp.int64)
+    else:
+        chosen = block.buffer("chosen", (count, n, m), xp.int64)
+
+    def output(members, name):
+        """Where a mode writes its rows: ``chosen`` itself if it has them all."""
+        if len(members) == count:
+            return chosen
+        return block.buffer(name, (len(members), n, m), xp.int64)
+
+    def sub_blocked(members):
+        if blocked is None or len(members) == count:
+            return blocked
+        return blocked[members]
 
     if block.seeded_idx:
         idx = block.seeded_idx
-        keys = _seeded_keys(block.seed_mix, round_number, n)
-        xp.copyto(keys, _UINT64_MAX, where=~cand[idx])
-        # Selection by value sort: the sender id lives in each key's low
-        # bits, so sorting the keys and masking those bits out yields the
-        # chosen senders directly — cheaper than argsort's indirection and
-        # exactly the scalar engine's (PRF value, sender) order.
-        smallest = xp.sort(keys, axis=2)[:, :, :m]
-        picked = (smallest & xp.uint64(SENDER_MASK)).astype(xp.int64)
-        # Starving rows (fewer candidates than m) pick up the sentinel's low
-        # bits; clamp so the gather stays in bounds — those rows fail the
-        # execution before their samples are ever used.
-        chosen[idx] = xp.minimum(picked, n - 1)
+        shape = (len(idx), n, n)
+        keys = seeded_rank_key_block(
+            block.seed_mix,
+            round_number,
+            n,
+            out=block.buffer("seeded.keys", shape, xp.uint64),
+            scratch=block.buffer("seeded.scratch", shape, xp.uint64),
+        )
+        # Keys embed the sender id in their low bits, so sorting the key
+        # values and masking those bits out yields the chosen senders
+        # directly: exactly the scalar engine's (PRF value, sender) order.
+        out = output(idx, "seeded.chosen")
+        _select_by_keys(xp, keys, sub_blocked(idx), m, n, SENDER_MASK, out)
+        if out is not chosen:
+            chosen[idx] = out
 
-    for representative, members, seeds in block.policy_tensor_groups:
-        ranks = representative.rank_tensor(round_number, n, seeds)
+    for g, (representative, members, seeds) in enumerate(block.policy_tensor_groups):
+        shape = (len(members), n, n)
+        scratch = block.buffer(f"tensor.scratch.{g}", shape, xp.uint64)
+        ranks = representative.rank_tensor(
+            round_number,
+            n,
+            seeds,
+            out=block.buffer(f"tensor.ranks.{g}", shape, xp.uint64),
+            scratch=scratch,
+        )
         if ranks is None:
             # Same contract as the strategy path: a non-None tensor_key is a
             # promise to answer (silently proceeding would turn the default
@@ -850,18 +927,21 @@ def _choose_quorums(
                 f"returned None"
             )
         ranks = xp.asarray(ranks)
-        sub_cand = cand[members]
-        if getattr(ranks.dtype, "kind", "f") in "iu":
-            # PRF rank keys (tie-free by construction): mask non-candidates
-            # with the maximal key, then a stable argsort is selection.
-            masked = xp.where(sub_cand, ranks, xp.iinfo(ranks.dtype).max)
+        out = output(members, f"tensor.chosen.{g}")
+        sub = sub_blocked(members)
+        if getattr(ranks, "strides", (None,))[0] == 0:
+            # A deterministic program: one n × n matrix shared by every
+            # execution, ordered once for the whole group.
+            _select_shared_order(xp, ranks[0], sub, m, n, out)
+        elif getattr(ranks.dtype, "kind", "f") in "iu":
+            # Integer ranks are tie-free PRF keys: mask non-candidates with
+            # the maximal key, then a stable argsort is selection.
+            masked = ranks if sub is None else xp.where(sub, xp.iinfo(ranks.dtype).max, ranks)
+            out[...] = xp.argsort(masked, axis=2, kind="stable")[:, :, :m]
         else:
-            # NaN sorts after every number including +inf, so a legitimately
-            # infinite rank still outranks a non-candidate; stable argsort
-            # reproduces the scalar path's by-sender tie-breaking.
-            masked = xp.where(sub_cand, ranks.astype(np.float64, copy=False), xp.nan)
-        order = xp.argsort(masked, axis=2, kind="stable")
-        chosen[members] = order[:, :, :m]
+            _select_float_ranks(xp, ranks, sub, m, n, scratch, out)
+        if out is not chosen:
+            chosen[members] = out
 
     if block.ranked_idx:
         idx = block.ranked_idx
@@ -875,15 +955,11 @@ def _choose_quorums(
                     dtype=np.float64,
                 )
             )
-        # NaN (not inf) masks the non-candidates: numpy sorts NaN after every
-        # number including +inf, so a legitimately infinite rank (e.g. an
-        # infinite delay) still outranks a non-candidate — matching the
-        # scalar path, which only ever sorts actual candidates.
-        masked = xp.where(cand[idx], ranks, xp.nan)
-        # Real-valued ranks (e.g. delays) do tie; the scalar path breaks ties
-        # by sender id, which the stable sort reproduces exactly.
-        order = xp.argsort(masked, axis=2, kind="stable")
-        chosen[idx] = order[:, :, :m]
+        out = output(idx, "ranked.chosen")
+        scratch = block.buffer("ranked.scratch", (len(idx), n, n), xp.uint64)
+        _select_float_ranks(xp, ranks, sub_blocked(idx), m, n, scratch, out)
+        if out is not chosen:
+            chosen[idx] = out
 
     for e in block.generic_idx:
         if not active[e]:
@@ -909,6 +985,103 @@ def _choose_quorums(
                     )
             chosen[e, recipient, :] = picked
     return chosen
+
+
+def _sender_bits(n: int) -> int:
+    """Low bits that hold a sender id ``< n`` in a composite sort key."""
+    return max(1, (n - 1).bit_length())
+
+
+def _select_by_keys(xp, keys, blocked, m: int, n: int, sender_mask: int, out) -> None:
+    """Quorum selection over composite keys, in place.
+
+    ``keys[e, recipient, sender]`` are distinct uint64 sort keys that carry
+    the sender id in the bits of ``sender_mask`` and order as
+    ``(rank, sender)``.  Non-candidates are overwritten with the maximal
+    key, every row is sorted in place and the first ``m`` keys' low bits
+    are written to ``out`` (``(E, n, m)`` int64).  Rows run slab by slab
+    so mask, sort and extract stay in cache.  Starving rows (fewer
+    candidates than ``m``) pick up the sentinel's low bits; they are
+    clamped so the gather stays in bounds, and fail their execution before
+    their samples are ever used.
+    """
+    low_bits = xp.uint64(sender_mask)
+    for rows in row_slabs(len(keys), n * n):
+        slab = keys[rows]
+        if blocked is not None:
+            xp.copyto(slab, _UINT64_MAX, where=blocked[rows])
+        slab.sort(axis=2)
+        xp.bitwise_and(slab[:, :, :m], low_bits, out=out[rows], casting="unsafe")
+    if blocked is not None and sender_mask >= n:
+        xp.minimum(out, n - 1, out=out)
+
+
+#: Bit pattern of +inf: a float64 whose bits lie below it is finite and
+#: non-negative (and not -0.0), so its bits order exactly like its value.
+_FINITE_BITS = 0x7FF0000000000000
+
+
+def _select_float_ranks(xp, ranks, blocked, m: int, n: int, scratch, out) -> None:
+    """Per-execution float ranks, selected by ``(rank, sender)``.
+
+    Non-negative finite float64 values order exactly like their bit
+    patterns, so a slab whose bit range leaves :func:`_sender_bits` spare
+    bits becomes composite uint64 keys ``(bits − min) << b | sender`` in
+    ``scratch`` and is selected by one integer sort (:func:`_select_by_keys`)
+    — ties break by sender exactly as the scalar path's sorted tuples do.
+    Other slabs (negative, infinite or too widely spread ranks) keep the
+    stable float argsort, NaN marking non-candidates (numpy sorts NaN after
+    every number including +inf).
+    """
+    ranks = ranks.astype(np.float64, copy=False)
+    bits = ranks.view(xp.uint64)
+    sender_bits = _sender_bits(n)
+    limit = (1 << (64 - sender_bits)) - 1
+    senders = xp.arange(n, dtype=xp.uint64)
+    shift = xp.uint64(sender_bits)
+    for rows in row_slabs(len(ranks), n * n):
+        slab_bits = bits[rows]
+        low, high = int(slab_bits.min()), int(slab_bits.max())
+        slab_blocked = None if blocked is None else blocked[rows]
+        if high < _FINITE_BITS and high - low < limit:
+            keys = scratch[rows]
+            xp.subtract(slab_bits, xp.uint64(low), out=keys)
+            xp.left_shift(keys, shift, out=keys)
+            xp.bitwise_or(keys, senders, out=keys)
+            _select_by_keys(
+                xp, keys, slab_blocked, m, n, (1 << sender_bits) - 1, out[rows]
+            )
+        else:
+            masked = ranks[rows]
+            if slab_blocked is not None:
+                masked = xp.where(slab_blocked, xp.nan, masked)
+            out[rows] = xp.argsort(masked, axis=2, kind="stable")[:, :, :m]
+
+
+def _select_shared_order(xp, matrix, blocked, m: int, n: int, out) -> None:
+    """Selection for a rank matrix every execution of a group shares.
+
+    The matrix is ordered once with a stable sort — the recipients' sender
+    orders by ``(rank, sender)``.  With every sender a candidate, each
+    execution takes that order directly.  Otherwise each execution applies
+    its candidate mask through a small-integer sort of
+    ``position << b | sender`` keys, which keeps the shared order among the
+    candidates.
+    """
+    order = xp.argsort(matrix, axis=1, kind="stable")
+    if blocked is None:
+        out[...] = order[None, :, :m]
+        return
+    sender_bits = _sender_bits(n)
+    width = n << sender_bits
+    dtype = xp.int16 if width < 2**15 else xp.int32 if width < 2**31 else xp.int64
+    position = xp.argsort(order, axis=1)
+    shared = ((position << sender_bits) | xp.arange(n)).astype(dtype)
+    sentinel = xp.iinfo(dtype).max
+    keys = xp.where(blocked, dtype(sentinel), shared[None, :, :])
+    keys.sort(axis=2)
+    xp.bitwise_and(keys[:, :, :m], (1 << sender_bits) - 1, out=out, casting="unsafe")
+    xp.minimum(out, n - 1, out=out)
 
 
 def _refill_or_fail(
@@ -1412,7 +1585,7 @@ def _advance_vector_block(block: _Block) -> List[VectorExecutionResult]:
         value_bits = message_bits(Message(kind="VALUE", round=round_number, value=0.0))
 
         if static_structure is not None:
-            sends, updates, cand, cand_count, round_sends = static_structure
+            sends, updates, cand, blocked, cand_count, round_sends = static_structure
         else:
             before_crash = round_number < block.crash_round
             sends = xp.where(
@@ -1431,9 +1604,10 @@ def _advance_vector_block(block: _Block) -> List[VectorExecutionResult]:
             )
             cand &= ~block.silent_mask[:, None, :]
             cand_count = cand.sum(axis=2)
+            blocked = None if bool((cand_count == n).all()) else ~cand
             round_sends = sends.sum(axis=1) + n * block.strategy_counts
             if round_number > last_crash_round:
-                static_structure = (sends, updates, cand, cand_count, round_sends)
+                static_structure = (sends, updates, cand, blocked, cand_count, round_sends)
 
         messages_sent += xp.where(active, round_sends, 0)
         bits_sent += xp.where(active, round_sends * value_bits, 0)
@@ -1450,7 +1624,8 @@ def _advance_vector_block(block: _Block) -> List[VectorExecutionResult]:
             round_delivered = xp.where(active, updates.sum(axis=1) * n, 0)
         else:
             sample, failed_round, round_delivered = _vector_async_samples(
-                block, cand, cand_count, injected, updates, active, round_number, m
+                block, cand, blocked, cand_count, injected, updates, active,
+                round_number, m,
             )
         delivered += round_delivered
 
@@ -1489,7 +1664,7 @@ def _advance_vector_block(block: _Block) -> List[VectorExecutionResult]:
 
 
 def _vector_injected_values(block: _Block, round_number: int) -> np.ndarray:
-    """Strategy reports per coordinate: ``injected[e, sender, recipient, c]``.
+    """Strategy reports per coordinate: ``injected[e, recipient, sender, c]``.
 
     One :meth:`~repro.net.adversary.ByzantineValueStrategy.value_tensor`
     call per ``(sender, program)`` group *per coordinate*, with the same PRF
@@ -1514,7 +1689,7 @@ def _vector_injected_values(block: _Block, round_number: int) -> np.ndarray:
                     f"strategy {representative.describe()} declares tensor program "
                     f"{representative.tensor_key()!r} but value_tensor returned None"
                 )
-            injected[rows, pid, :, c] = np.asarray(
+            injected[rows, :, pid, c] = np.asarray(
                 xp.to_numpy(reports), dtype=np.float64
             )
     for e, sender, strategy in block.strategy_scalar:
@@ -1524,12 +1699,12 @@ def _vector_injected_values(block: _Block, round_number: int) -> np.ndarray:
             observed = np.sort(row[mask]).tolist()
             reports = strategy.value_block(round_number, n, observed)
             if reports is not None:
-                injected[e, sender, :, c] = np.asarray(reports, dtype=np.float64)
+                injected[e, :, sender, c] = np.asarray(reports, dtype=np.float64)
                 continue
             for recipient in range(n):
                 value = strategy.value(round_number, recipient, observed)
                 if isinstance(value, (int, float)):
-                    injected[e, sender, recipient, c] = float(value)
+                    injected[e, recipient, sender, c] = float(value)
     np.copyto(injected, np.nan, where=~np.isfinite(injected))
     return xp.asarray(injected, dtype=xp.float_dtype)
 
@@ -1550,17 +1725,17 @@ def _vector_sync_samples(
     use_holder = (cand & block.holder_mask[:, None, :])[:, :, :, None]
     sample = xp.where(use_holder, holder_values, own)
     if injected is not None:
-        reports = xp.swapaxes(injected, 1, 2)  # (E, recipient, sender, d)
         use = (cand & block.strategy_mask[:, None, :])[:, :, :, None] & xp.isfinite(
-            reports
+            injected
         )
-        sample = xp.where(use, reports, sample)
+        sample = xp.where(use, injected, sample)
     return sample
 
 
 def _vector_async_samples(
     block: _Block,
     cand: np.ndarray,
+    blocked: Optional[np.ndarray],
     cand_count: np.ndarray,
     injected: Optional[np.ndarray],
     updates: np.ndarray,
@@ -1581,16 +1756,10 @@ def _vector_async_samples(
     """
     count, n = block.count, block.n
     xp = block.xp
-    chosen = _choose_quorums(block, cand, cand_count, updates, active, round_number, m)
-
-    e_idx = xp.arange(count)[:, None, None]
-    sample = block.values[e_idx, chosen]  # (E, n, m, d)
-    if injected is not None:
-        q_idx = xp.arange(n)[None, :, None]
-        strategy_chosen = block.strategy_mask[e_idx, chosen]
-        if strategy_chosen.any():
-            reports = injected[e_idx, chosen, q_idx]  # (E, n, m, d)
-            sample = xp.where(strategy_chosen[:, :, :, None], reports, sample)
+    chosen = _choose_quorums(
+        block, cand, blocked, cand_count, updates, active, round_number, m
+    )
+    sample = _gather_samples(block, chosen, injected)
 
     relevant = updates & active[:, None]
     starving = relevant & (cand_count < m)

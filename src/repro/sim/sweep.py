@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import warnings
@@ -508,6 +509,16 @@ class SweepCell:
         object.__setattr__(self, "adversary_params", normalized)
 
     def validate(self) -> None:
+        if (
+            isinstance(self.epsilon, bool)
+            or not isinstance(self.epsilon, (int, float))
+            or not math.isfinite(self.epsilon)
+        ):
+            raise ValueError(f"epsilon must be a finite number, got {self.epsilon!r}")
+        for name, value in (("seed", self.seed), ("dimension", self.dimension)):
+            # bool is an int subclass: dimension=True would run as d=1.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.protocol not in PROTOCOL_FACTORIES:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.adversary not in ADVERSARY_SPECS:

@@ -562,6 +562,23 @@ class TestCommandLine:
         )
         assert "shard 1/3" in completed.stdout
 
+    def test_module_entry_point_runs_without_runpy_warning(self):
+        # Importing the repro.sim package must not import repro.sim.job,
+        # or runpy warns that the module it runs as __main__ is already in
+        # sys.modules; -W error turns that warning into a failure.
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.sim.job", "--help"],
+            capture_output=True, text=True, env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "RuntimeWarning" not in completed.stderr
+        assert "usage:" in completed.stdout
+
 
 class TestCompaction:
     def test_compact_rewrites_shards_into_grid_order(self, tmp_path):

@@ -17,11 +17,11 @@ from repro.net.adversary import (
     RoundFaultModel,
     SeededOmission,
     seeded_rank_key,
+    seeded_rank_key_block,
     mix64,
 )
 from repro.sim.ndbatch import (
     NDBATCH_PROTOCOLS,
-    _seeded_keys,
     run_ndbatch_block,
     run_ndbatch_protocol,
 )
@@ -37,7 +37,7 @@ class TestSeededKeysBitEquivalence:
         for seed in (0, 1, 7, 123456789, 2**63):
             seed_mix = np.array([mix64(seed)], dtype=np.uint64)
             for round_number in (1, 2, 17):
-                keys = _seeded_keys(seed_mix, round_number, n)[0]
+                keys = seeded_rank_key_block(seed_mix, round_number, n)[0]
                 for recipient in range(n):
                     for sender in range(n):
                         expected = seeded_rank_key(

@@ -26,16 +26,24 @@ pytest.importorskip("numpy", reason="the vectorised engine requires numpy")
 from repro.net.adversary import (
     DelayRankOmission,
     FixedValueStrategy,
+    LaggardDelay,
+    PartitionDelay,
     RoundFaultModel,
+    SeededDelay,
     StaggeredExclusionDelay,
+    round_fault_model,
 )
 from repro.net.network import UniformRandomDelay
 from repro.sim.batch import run_batch_protocol
-from repro.sim.ndbatch import run_ndbatch_block, run_ndbatch_protocol
+from repro.sim.ndbatch import run_ndbatch_block, run_ndbatch_protocol, run_vector_block
 from repro.sim.sweep import (
     ADVERSARY_SPECS,
+    VECTOR_WORKLOAD_SPECS,
     WORKLOAD_SPECS,
+    AdversaryBundle,
+    SweepCell,
     adversary_fits_protocol,
+    build_adversary_bundle,
 )
 
 EPSILON = 1e-3
@@ -58,6 +66,7 @@ ADVERSARIES = [
     "byz-anti",
     "partition",
     "staggered",
+    "random-delays",
 ]
 
 WORKLOADS = ["uniform", "two-cluster", "extremes"]
@@ -83,6 +92,8 @@ SMOKE = [
     ("sync-crash", 7, 2, "crash-initial", "extremes"),
     ("sync-byzantine", 7, 2, "byz-anti", "uniform"),
     ("async-crash", 7, 2, "staggered", "two-cluster"),
+    ("async-crash", 7, 2, "random-delays", "uniform"),
+    ("async-byzantine", 11, 2, "random-delays", "extremes"),
 ]
 
 
@@ -224,6 +235,157 @@ class TestDifferentialSmoke:
                 )
             )
         assert_engines_agree(results[0], results[1], "rank-block path")
+
+
+def run_block_against_batch(protocol, n, t, bundles, inputs_block, seeds, context):
+    """One ndbatch block of ``bundles`` against one batch run per execution."""
+    from repro.core.termination import FixedRounds
+
+    policy = FixedRounds(6)
+    block = run_ndbatch_block(
+        protocol, inputs_block, t=t, epsilon=EPSILON, round_policy=policy,
+        fault_models=[round_fault_model(b.fault_plan, n) for b in bundles],
+        omission_policies=[
+            DelayRankOmission(b.delay_model) if b.delay_model else None for b in bundles
+        ],
+        seeds=seeds,
+    )
+    for seed, inputs, bundle, ndbatch in zip(seeds, inputs_block, bundles, block):
+        batch = run_batch_protocol(
+            protocol, inputs, t=t, epsilon=EPSILON, round_policy=policy,
+            fault_plan=bundle.fault_plan, delay_model=bundle.delay_model, seed=seed,
+        )
+        assert_engines_agree(batch, ndbatch, f"{context} seed {seed}")
+
+
+class TestTiesAndMasks:
+    """Cells that force rank ties and partial candidate masks through the
+    tensor selection paths (shared broadcast order, per-execution float
+    ranks) — every tie must break by sender exactly as the batch engine's
+    sorted ``(rank, sender)`` tuples do."""
+
+    @pytest.mark.parametrize("protocol,n,t", [("async-crash", 7, 2), ("async-byzantine", 11, 2)])
+    @pytest.mark.parametrize("faults", ["none", "crash-staggered"])
+    def test_all_tied_seeded_delays_select_by_sender(self, protocol, n, t, faults):
+        # low == high: every delay ties, so each quorum is the m candidates
+        # with the smallest sender ids.
+        seeds = list(range(5))
+        bundles = [
+            AdversaryBundle(
+                ADVERSARY_SPECS[faults](protocol, n, t, seed).fault_plan,
+                SeededDelay(low=1.0, high=1.0, seed=seed),
+            )
+            for seed in seeds
+        ]
+        inputs_block = [WORKLOAD_SPECS["uniform"](n, seed) for seed in seeds]
+        run_block_against_batch(protocol, n, t, bundles, inputs_block, seeds, "tied")
+
+    @pytest.mark.parametrize(
+        "delay",
+        [
+            lambda n, t: StaggeredExclusionDelay(n, exclude=t),
+            lambda n, t: PartitionDelay(camp_a=range(n // 2)),
+            lambda n, t: LaggardDelay(slow_senders=[0, 1]),
+        ],
+        ids=["staggered", "partition", "laggard"],
+    )
+    def test_broadcast_program_with_crash_masks(self, delay):
+        # One deterministic delay program shared by the whole block (a
+        # zero-stride broadcast ordered once per round), composed with
+        # per-execution mid-multicast crashes: every execution applies a
+        # different partial candidate mask to the shared order.
+        protocol, n, t = "async-crash", 9, 3
+        seeds = list(range(7))
+        bundles = [
+            ADVERSARY_SPECS["crash-staggered"](protocol, n, t, seed)._replace(
+                delay_model=delay(n, t)
+            )
+            for seed in seeds
+        ]
+        inputs_block = [WORKLOAD_SPECS["two-cluster"](n, seed) for seed in seeds]
+        run_block_against_batch(protocol, n, t, bundles, inputs_block, seeds, "masked")
+
+    def test_seeded_delays_with_crash_masks(self):
+        protocol, n, t = "async-crash", 9, 3
+        seeds = list(range(6))
+        bundles = [
+            ADVERSARY_SPECS["crash-staggered"](protocol, n, t, seed)._replace(
+                delay_model=SeededDelay(low=0.1, high=2.0, seed=seed)
+            )
+            for seed in seeds
+        ]
+        inputs_block = [WORKLOAD_SPECS["uniform"](n, seed) for seed in seeds]
+        run_block_against_batch(protocol, n, t, bundles, inputs_block, seeds, "seeded")
+
+    def test_mixed_selection_modes_in_one_block(self):
+        # Seeded omission, a shared broadcast program and per-execution PRF
+        # delays side by side, each mode owning only some rows of the block
+        # and of its candidate mask.
+        protocol, n, t = "async-crash", 9, 3
+        seeds = list(range(9))
+        delays = [
+            lambda seed: None,
+            lambda seed: StaggeredExclusionDelay(n, exclude=t),
+            lambda seed: SeededDelay(low=0.1, high=2.0, seed=seed),
+        ]
+        bundles = [
+            AdversaryBundle(
+                ADVERSARY_SPECS["crash-staggered" if seed % 2 else "none"](
+                    protocol, n, t, seed
+                ).fault_plan,
+                delays[seed % 3](seed),
+            )
+            for seed in seeds
+        ]
+        inputs_block = [WORKLOAD_SPECS["uniform"](n, seed) for seed in seeds]
+        run_block_against_batch(protocol, n, t, bundles, inputs_block, seeds, "mixed")
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_found_anti_stagger_vector_block_matches_composition(self, seed):
+        # d = 3: one shared-order selection per round serves every
+        # coordinate, and Byzantine reports are gathered from the
+        # (E, recipient, sender, d) tensor; the coordinate-wise batch
+        # composition (fresh adversary per coordinate) is the exact oracle.
+        from repro.core.termination import FixedRounds
+
+        protocol, n, t, d = "async-byzantine", 11, 2, 3
+        policy = FixedRounds(8)
+        cells = [
+            SweepCell(protocol, n, t, EPSILON, "found-anti-stagger", "rendezvous",
+                      s, "ndbatch", dimension=d)
+            for s in (seed, seed + 1, seed + 2)
+        ]
+        vectors_block = [VECTOR_WORKLOAD_SPECS["rendezvous"](n, d, c.seed) for c in cells]
+        bundles = [build_adversary_bundle(cell) for cell in cells]
+        block = run_vector_block(
+            protocol, vectors_block, t=t, epsilon=EPSILON, round_policy=policy,
+            fault_models=[round_fault_model(b.fault_plan, n) for b in bundles],
+            omission_policies=[DelayRankOmission(b.delay_model) for b in bundles],
+            seeds=[cell.seed for cell in cells],
+        )
+        for cell, vectors, vector in zip(cells, vectors_block, block):
+            context = f"found-anti-stagger seed {cell.seed}"
+            coordinates = []
+            for c in range(d):
+                fresh = build_adversary_bundle(cell)
+                coordinates.append(
+                    run_batch_protocol(
+                        protocol, [v[c] for v in vectors], t=t, epsilon=EPSILON,
+                        round_policy=policy, fault_plan=fresh.fault_plan,
+                        delay_model=fresh.delay_model, seed=cell.seed,
+                    )
+                )
+            for c, batch in enumerate(coordinates):
+                assert batch.rounds_used == vector.rounds, context
+                assert batch.stats.messages_sent * d == vector.stats.messages_sent, context
+                assert batch.stats.bits_sent * d == vector.stats.bits_sent, context
+                assert set(batch.outputs) == set(vector.outputs), context
+                for pid, value in batch.outputs.items():
+                    assert abs(value - vector.outputs[pid][c]) <= TOLERANCE, context
+            spreads = zip(*(batch.trajectory for batch in coordinates))
+            assert len(vector.trajectory) == len(coordinates[0].trajectory), context
+            for spread, widest in zip(vector.trajectory, spreads):
+                assert abs(spread - max(widest)) <= TOLERANCE, context
 
 
 @pytest.mark.slow

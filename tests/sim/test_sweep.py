@@ -82,6 +82,46 @@ class TestGrid:
             ).validate()
 
 
+class TestCellBoundary:
+    """Malformed cells fail in ``validate`` — before any dispatch — with a
+    message naming the field, instead of deep inside an engine."""
+
+    def cell(self, **changes):
+        base = SweepCell(
+            protocol="async-crash", n=7, t=2, epsilon=1e-3,
+            adversary="none", workload="uniform", seed=0, engine="batch",
+        )
+        return dataclasses.replace(base, **changes)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, "0.1", None, True])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be a finite number"):
+            self.cell(epsilon=epsilon).validate()
+
+    @pytest.mark.parametrize("dimension", [True, False, 2.0, "3", None])
+    def test_non_int_dimension_rejected(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be an int"):
+            self.cell(dimension=dimension).validate()
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "3", None])
+    def test_non_int_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            self.cell(seed=seed).validate()
+
+    def test_spec_rejects_before_dispatch(self):
+        for spec in (
+            dataclasses.replace(SPEC, epsilon=math.nan),
+            dataclasses.replace(SPEC, dimensions=(True,)),
+            dataclasses.replace(SPEC, seeds=(0, False)),
+        ):
+            with pytest.raises(ValueError, match="must be"):
+                run_sweep(spec)
+
+    def test_well_formed_cells_still_validate(self):
+        self.cell().validate()
+        self.cell(epsilon=1, seed=2**70, dimension=3).validate()
+
+
 class TestRegistries:
     def test_every_adversary_builds_for_every_protocol(self):
         for name, build in ADVERSARY_SPECS.items():
