@@ -1,21 +1,49 @@
-"""Vectorised multi-execution batch engine (numpy matrix rounds).
+"""Vectorised multi-execution batch engine (numpy tensor rounds).
 
 The round-level batch engine (:mod:`repro.sim.batch`) made thousand-execution
 sweeps routine, but its hot loop is still pure Python: one ``sorted()`` +
 ``fsum`` per process per round per execution.  The algorithms' round structure
 — ``mean ∘ select_k ∘ reduce^j`` over a sorted multiset — is exactly a sort +
 strided slice + mean over the rows of a matrix, so this engine advances an
-entire *block* of executions at once:
+entire *block* of executions at once, with ONE round loop
+(:func:`_advance_block`) over a value state of shape ``(E, n, *tail)``:
 
 * all executions sharing a scenario shape (protocol, ``n``, ``t``, round
-  count) are stacked into an ``(executions, n)`` value matrix;
+  count, dimension) are stacked into one value tensor — ``tail == ()`` for
+  scalar blocks (:func:`run_ndbatch_block`, returning
+  :class:`~repro.sim.runner.ExecutionResult`), ``tail == (d,)`` for vector
+  agreement in ``R^d`` (:func:`run_vector_block`, returning
+  :class:`~repro.sim.vector.VectorExecutionResult`);
 * each round, candidate masks and quorum index tensors are built from the
   per-execution :class:`~repro.net.adversary.RoundFaultModel` and
   :class:`~repro.net.adversary.OmissionPolicy`;
-* per-recipient views are gathered into an ``(executions, n, m)`` tensor and
-  the approximation step is applied as one ``np.sort(axis=-1)`` + strided
-  slice + mean (:func:`repro.core.rounds.approximation_step_block`) — no
+* per-recipient views are gathered into an ``(E, n, m, *tail)`` tensor and
+  the approximation step is applied along the multiset axis as one sort +
+  strided slice + mean (:func:`repro.core.rounds.approximation_step_block`)
+  — independently per coordinate of a vector block, and with no
   per-process Python loop.
+
+Everything structural in an execution — who crashes when, which quorums each
+recipient picks, which processes are Byzantine — is value-independent (crash
+schedules are data; quorum selection ranks PRF keys or delay ranks, never
+values).  So the coordinates of a vector block share one round structure:
+quorum selection runs once per round for all ``d`` coordinates (this, not
+the kernel, is the ``d×`` win over the coordinate-wise composition of
+:mod:`repro.sim.vector`), and per-coordinate costs are the shared counts
+times ``d``.  Byzantine strategies are evaluated once per coordinate on that
+coordinate's observed values with the same PRF seeds, so a Byzantine sender
+still "may differ per coordinate" exactly as the composition allows.  A
+``d``-dimensional block is therefore bit-identical, coordinate by
+coordinate, to ``d`` scalar blocks (``tests/sim/test_vector_coordinates.py``).
+The trailing axis changes only array shapes; the loop branches on it in two
+places, both out of the model's common case: a non-finite Byzantine report
+refills its quorum slot from later candidates (scalar blocks only — a
+per-coordinate refill would split the shared quorum), and per-recipient
+omission policies, whose draws cannot be shared across coordinates, are
+rejected in vector blocks.  Both raise
+:class:`~repro.sim.engine.EngineCapabilityError` at ``d > 1``, pointing at
+the coordinate-wise composition; ``d == 1`` vector blocks run as scalar
+blocks and are lifted, so they support both.
 
 Exact agreement with :mod:`repro.sim.batch`
 -------------------------------------------
@@ -58,8 +86,8 @@ one integer sort per round:
   recipients ascending), so stateful policies stay reproducible.
 
 The chosen senders' values (and Byzantine reports, built directly in
-``(executions, recipient, sender)`` layout) are then gathered with one flat
-``take`` each.
+``(executions, recipient, sender, *tail)`` layout) are then gathered with
+one flat ``take`` each.
 
 Byzantine value strategies must be ``stateless`` (pure functions of
 ``(round, recipient, observed)``); the engine evaluates them eagerly for
@@ -67,15 +95,15 @@ every recipient.  Strategies declaring a tensor program
 (:meth:`~repro.net.adversary.ByzantineValueStrategy.tensor_key`) are grouped
 by ``(sender, program)`` and answered with one
 :meth:`~repro.net.adversary.ByzantineValueStrategy.value_tensor` call per
-round per group — Byzantine and anti-convergence rounds issue **zero**
-per-execution Python strategy calls (asserted by
+round per group (per coordinate) — Byzantine and anti-convergence rounds
+issue **zero** per-execution Python strategy calls (asserted by
 ``tests/sim/test_fault_tensor_engine.py``).  Stateful strategies and
 adaptive round policies raise a documented error pointing at the pure-Python
 engine, which supports both.
 
-Results are full :class:`~repro.sim.runner.ExecutionResult` objects (runtime
-tag ``"ndbatch"``) with the same schema as the other engines, so the metrics,
-convergence-analysis and table pipelines apply unchanged.
+Results carry runtime tag ``"ndbatch"`` and the same schema as the other
+engines, so the metrics, convergence-analysis and table pipelines apply
+unchanged.
 """
 
 from __future__ import annotations
@@ -96,7 +124,6 @@ from repro.core.problem import ProblemInstance, ValidationReport, validate_outpu
 from repro.core.protocol import ResilienceError
 from repro.core.rounds import AlgorithmBounds, approximation_step_block
 from repro.core.termination import (
-    FixedRounds,
     RoundPolicy,
     default_round_policy,
     default_vector_round_policy,
@@ -143,7 +170,9 @@ _UINT64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 class _Block:
     """Per-execution scenario data and array state of one ndbatch block.
 
-    Scenario construction (fault schedules, masks, group partitions) is
+    ``inputs_block`` is ``(E, n)`` for a scalar block or ``(E, n, d)`` for a
+    vector block; the trailing axes are the block's ``tail``.  Scenario
+    construction (fault schedules, masks, group partitions) is
     always host-side numpy; :meth:`_to_device` then moves the tensors the
     round loop touches onto the block's array namespace ``xp`` — an identity
     on the numpy float64 default, a dtype cast for float32, a host→device
@@ -153,7 +182,7 @@ class _Block:
     def __init__(
         self,
         protocol: str,
-        inputs_block: Sequence[Sequence[float]],
+        inputs_block: Sequence[Sequence],
         t: int,
         epsilon: float,
         round_policy: Optional[RoundPolicy],
@@ -165,6 +194,8 @@ class _Block:
         self.xp = xp if xp is not None else get_namespace("numpy")
         self.count = len(inputs_block)
         self.n = len(inputs_block[0])
+        #: Trailing value axes: ``()`` for scalar blocks, ``(d,)`` for vector blocks.
+        self.tail: Tuple[int, ...] = np.shape(inputs_block[0])[1:]
         self.t = t
         self.epsilon = epsilon
         self.protocol = protocol
@@ -207,8 +238,7 @@ class _Block:
             if shared_rounds is not None:
                 rounds.append(shared_rounds)
             else:
-                cell_policy = default_round_policy(self.bounds, inputs, epsilon)
-                rounds.append(_upfront_rounds(cell_policy, self.bounds, epsilon))
+                rounds.append(_default_rounds(self.bounds, inputs, epsilon, self.tail))
             policy.reset()
         if len(set(rounds)) > 1:
             raise ValueError(
@@ -219,7 +249,7 @@ class _Block:
         self.total_rounds = rounds[0] if rounds else 0
 
         # --- numpy scenario state --------------------------------------
-        self.inputs_matrix = np.asarray(inputs_block, dtype=np.float64)
+        self.inputs = np.asarray(inputs_block, dtype=np.float64)
         self.crash_round = np.full((count, n), _NEVER, dtype=np.int64)
         self.crash_deliveries = np.zeros((count, n), dtype=np.int64)
         self.strategy_mask = np.zeros((count, n), dtype=bool)
@@ -227,7 +257,7 @@ class _Block:
         self.honest_mask = np.ones((count, n), dtype=bool)
         self.strategy_ids: List[Tuple[int, ...]] = []
 
-        starting = self.inputs_matrix.copy()
+        starting = self.inputs.copy()
         # Strategies grouped by (sender pid, tensor program): every group is
         # answered by ONE value_tensor call per round on a representative
         # instance, with per-execution variation carried by the PRF seed
@@ -258,6 +288,8 @@ class _Block:
                     self.silent_mask[e, pid] = True
             self.strategy_ids.append(tuple(sorted(model.strategies)))
             for pid, forged in model.corrupted_inputs.items():
+                # Scalar forgeries (as in round_fault_model): a vector
+                # block's forged input repeats in every coordinate.
                 if pid < n:
                     starting[e, pid] = float(forged)
             for pid, (crash_round, deliveries) in model.crash_schedule.items():
@@ -283,7 +315,7 @@ class _Block:
         # supersedes a crash point, as in the round_fault_model adapter).
         self.crash_round = np.where(self.holder_mask, self.crash_round, _NEVER)
         self.crash_deliveries = np.where(self.holder_mask, self.crash_deliveries, 0)
-        self.values = np.where(self.holder_mask, starting, np.nan)
+        self.values = np.where(_trailing(self.holder_mask, len(self.tail)), starting, np.nan)
         self.strategy_counts = self.strategy_mask.sum(axis=1).astype(np.int64)
 
         # --- quorum-selection mode partition ---------------------------
@@ -318,6 +350,16 @@ class _Block:
                 probes.append(probe)
             else:
                 self.generic_idx.append(e)
+        if self.tail and self.generic_idx:
+            raise EngineCapabilityError(
+                "ndbatch",
+                f"per-recipient omission policies in vector blocks "
+                f"({self.policies[self.generic_idx[0]].describe()} answers neither "
+                f"a tensor program nor rank_block, so its quorum draws cannot be "
+                f"shared across coordinates; compose coordinate-wise via "
+                f"repro.sim.vector.run_vector_protocol)",
+                ("event",),
+            )
         self.policy_tensor_groups: List[Tuple[object, np.ndarray, np.ndarray]] = [
             (
                 self.policies[members[0]],
@@ -385,9 +427,18 @@ class _Block:
             self.rank_probe = xp.asarray(self.rank_probe)
 
 
+def _default_rounds(
+    bounds: AlgorithmBounds, inputs: Sequence, epsilon: float, tail: Tuple[int, ...]
+) -> Optional[int]:
+    """Round count of the default policy for one execution's inputs (a vector
+    execution's count covers its ℓ∞ input spread)."""
+    policy = default_vector_round_policy if tail else default_round_policy
+    return _upfront_rounds(policy(bounds, inputs, epsilon), bounds, epsilon)
+
+
 def _rounds_hint(
     protocol: str,
-    inputs_block: Sequence[Sequence[float]],
+    inputs_block: Sequence[Sequence],
     t: int,
     epsilon: float,
     round_policy: Optional[RoundPolicy],
@@ -403,8 +454,8 @@ def _rounds_hint(
         if round_policy is not None:
             rounds = _upfront_rounds(round_policy, bounds, epsilon)
         else:
-            cell_policy = default_round_policy(bounds, inputs_block[0], epsilon)
-            rounds = _upfront_rounds(cell_policy, bounds, epsilon)
+            tail = np.shape(inputs_block[0])[1:]
+            rounds = _default_rounds(bounds, inputs_block[0], epsilon, tail)
         return int(rounds) if rounds else 1
     except Exception:
         return 1
@@ -450,6 +501,72 @@ def run_ndbatch_block(
     so outcomes are invariant to the chunk size (guarded by
     ``tests/sim/test_planner.py``).
     """
+    return _run_block(
+        protocol, inputs_block, t, epsilon, round_policy, fault_models,
+        omission_policies, seeds, strict, backend, dtype, budget_bytes,
+        chunk_executions, vector=False,
+    )
+
+
+def run_vector_block(
+    protocol: str,
+    vector_inputs_block: Sequence[Sequence[Sequence[float]]],
+    t: int,
+    epsilon: float,
+    round_policy: Optional[RoundPolicy] = None,
+    fault_models: Optional[Sequence[Optional[RoundFaultModel]]] = None,
+    omission_policies: Optional[Sequence[Optional[OmissionPolicy]]] = None,
+    seeds: Optional[Sequence[int]] = None,
+    strict: bool = True,
+    backend: Optional[str] = None,
+    dtype: Optional[str] = None,
+    budget_bytes: Optional[int] = None,
+    chunk_executions: Optional[int] = None,
+) -> List[VectorExecutionResult]:
+    """Run a block of vector-agreement executions on the vectorised engine.
+
+    ``vector_inputs_block[e]`` is one execution's inputs: ``n`` vectors of a
+    shared dimension ``d`` (ragged inputs fail loudly in
+    :func:`repro.core.multidim.normalize_vector_inputs`).  All executions
+    share ``(protocol, n, t, epsilon, d)`` and the round count; scenario
+    arguments mirror :func:`run_ndbatch_block` exactly.
+
+    ``d == 1`` runs the scalar block and lifts its results, so
+    one-dimensional vector blocks are bit-identical to scalar ndbatch by
+    construction.  ``d > 1`` runs the same round loop over an ``(E, n, d)``
+    value tensor with one quorum draw per round shared by every coordinate
+    (see the module docstring); with no ``round_policy`` the shared count
+    covers the ℓ∞ input spread
+    (:func:`repro.core.termination.default_vector_round_policy`) — pass the
+    same policy to :func:`repro.sim.vector.run_vector_protocol` when
+    comparing engines.  Memory planning multiplies the value-array terms by
+    ``d`` (:func:`repro.sim.planner.bytes_per_execution`).
+    """
+    return _run_block(
+        protocol, vector_inputs_block, t, epsilon, round_policy, fault_models,
+        omission_policies, seeds, strict, backend, dtype, budget_bytes,
+        chunk_executions, vector=True,
+    )
+
+
+def _run_block(
+    protocol: str,
+    inputs_block: Sequence[Sequence],
+    t: int,
+    epsilon: float,
+    round_policy: Optional[RoundPolicy],
+    fault_models: Optional[Sequence[Optional[RoundFaultModel]]],
+    omission_policies: Optional[Sequence[Optional[OmissionPolicy]]],
+    seeds: Optional[Sequence[int]],
+    strict: bool,
+    backend: Optional[str],
+    dtype: Optional[str],
+    budget_bytes: Optional[int],
+    chunk_executions: Optional[int],
+    vector: bool,
+) -> list:
+    """The body of :func:`run_ndbatch_block` and :func:`run_vector_block`:
+    defaults, planning, the chunk loop and the wall-time share."""
     if protocol not in NDBATCH_PROTOCOL_BOUNDS:
         raise EngineCapabilityError(
             "ndbatch",
@@ -459,6 +576,20 @@ def run_ndbatch_block(
     count = len(inputs_block)
     if count == 0:
         return []
+    dimension = 1
+    if vector:
+        inputs_block = [normalize_vector_inputs(inputs) for inputs in inputs_block]
+        dimension = len(inputs_block[0][0])
+        for vectors in inputs_block[1:]:
+            if len(vectors) != len(inputs_block[0]):
+                raise ValueError("all executions in a block must share n")
+            if len(vectors[0]) != dimension:
+                raise ValueError(
+                    "all executions in a vector block must share the dimension d"
+                )
+        if dimension == 1:
+            inputs_block = [[vector[0] for vector in vectors] for vectors in inputs_block]
+    n = len(inputs_block[0])
     if fault_models is None:
         fault_models = [None] * count
     if omission_policies is None:
@@ -466,8 +597,9 @@ def run_ndbatch_block(
     if seeds is None:
         seeds = [0] * count
     if not (len(fault_models) == len(omission_policies) == len(seeds) == count):
-        raise ValueError("inputs_block, fault_models, omission_policies and seeds "
-                         "must have equal lengths")
+        name = "vector_inputs_block" if vector else "inputs_block"
+        raise ValueError(f"{name}, fault_models, omission_policies and seeds "
+                         f"must have equal lengths")
     models = [model if model is not None else RoundFaultModel() for model in fault_models]
     policies = [
         policy if policy is not None else SeededOmission(int(seed))
@@ -481,58 +613,51 @@ def run_ndbatch_block(
             raise ValueError("chunk_executions must be at least 1")
         chunk = min(count, int(chunk_executions))
     else:
-        n = len(inputs_block[0])
-        bounds = NDBATCH_PROTOCOL_BOUNDS[protocol](n, t)
         plan = plan_block(
             count,
             n,
-            bounds.sample_size,
+            NDBATCH_PROTOCOL_BOUNDS[protocol](n, t).sample_size,
             _rounds_hint(protocol, inputs_block, t, epsilon, round_policy),
             dtype=xp.dtype_name,
             budget_bytes=budget_bytes,
+            dimension=dimension,
         )
         chunk = plan.chunk_executions
-    if chunk >= count:
-        block = _Block(
-            protocol, inputs_block, t, epsilon, round_policy, models, policies,
-            strict, xp=xp,
-        )
-        results = _advance_block(block)
-    else:
+    if chunk < count and round_policy is None:
         # The shared-round-count contract is a whole-block property; check it
         # up front so a heterogeneous block raises identically whether or not
         # the planner happened to chunk it.
-        if round_policy is None:
-            hints = {
-                _rounds_hint(protocol, [inputs], t, epsilon, None)
-                for inputs in inputs_block
-            }
-            if len(hints) > 1:
-                raise ValueError(
-                    f"executions in one ndbatch block must share the round "
-                    f"count, got {sorted(hints)}; group cells by round count "
-                    f"first (repro.sim.sweep does this automatically)"
-                )
-        results = []
-        for start in range(0, count, chunk):
-            stop = min(count, start + chunk)
-            block = _Block(
-                protocol,
-                inputs_block[start:stop],
-                t,
-                epsilon,
-                round_policy,
-                models[start:stop],
-                policies[start:stop],
-                strict,
-                xp=xp,
+        hints = {
+            _rounds_hint(protocol, [inputs], t, epsilon, None) for inputs in inputs_block
+        }
+        if len(hints) > 1:
+            raise ValueError(
+                f"executions in one ndbatch block must share the round "
+                f"count, got {sorted(hints)}; group cells by round count "
+                f"first (repro.sim.sweep does this automatically)"
             )
-            results.extend(_advance_block(block))
+    results = []
+    for start in range(0, count, chunk):
+        stop = min(count, start + chunk)
+        block = _Block(
+            protocol,
+            inputs_block[start:stop],
+            t,
+            epsilon,
+            round_policy,
+            models[start:stop],
+            policies[start:stop],
+            strict,
+            xp=xp,
+        )
+        results.extend(_advance_block(block))
     wall = time.perf_counter() - started
     # Wall time is observational; charge each execution its share of the block.
     share = wall / count
     for result in results:
         result.wall_time_seconds = share
+    if vector and dimension == 1:
+        return [_lift_scalar_result(result) for result in results]
     return results
 
 
@@ -585,11 +710,26 @@ def run_ndbatch_protocol(
 # ----------------------------------------------------------------------
 
 
-def _advance_block(block: _Block) -> List[ExecutionResult]:
+def _trailing(array, axes: int):
+    """``array`` with ``axes`` trailing length-1 axes, so a per-process mask
+    broadcasts over the value tail (``array`` itself when ``axes == 0``)."""
+    return array[(Ellipsis,) + (None,) * axes] if axes else array
+
+
+def _advance_block(block: _Block) -> list:
+    """The round loop over the block's ``(E, n, *tail)`` value state.
+
+    Only the value state, samples and injected reports carry the tail — the
+    send/update/candidate structure, quorum selection and cost accounting
+    are shared across coordinates.
+    """
     count, n, m = block.count, block.n, block.bounds.sample_size
     total_rounds = block.total_rounds
     xp = block.xp
     arange_n = xp.arange(n)
+    axes = len(block.tail)
+    # The multiset axis of the (E, n, m, *tail) sample.
+    axis = -1 - axes
 
     active = xp.ones(count, dtype=bool)
     rounds_completed = xp.zeros(count, dtype=xp.int64)
@@ -656,7 +796,6 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
 
         if block.synchronous:
             sample = _sync_samples(block, cand, injected)
-            sample_width = n
             failed_round = xp.zeros(count, dtype=bool)
             round_delivered = xp.where(active, updates.sum(axis=1) * n, 0)
         else:
@@ -664,7 +803,6 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
                 block, cand, blocked, cand_count, injected, updates, active,
                 round_number, m,
             )
-            sample_width = m
         delivered += round_delivered
 
         apply_mask = updates & active[:, None] & ~failed_round[:, None]
@@ -673,20 +811,22 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
             # the placeholder fill and the kernel's finiteness scan are
             # provably redundant.
             new_values = approximation_step_block(
-                sample, block.bounds, validate=False, xp=xp
+                sample, block.bounds, validate=False, xp=xp, axis=axis
             )
         else:
             safe_sample = xp.where(
-                apply_mask[:, :, None],
+                _trailing(apply_mask, 1 + axes),
                 sample,
-                xp.zeros((1, 1, sample_width), dtype=xp.float_dtype),
+                xp.zeros((1,) * sample.ndim, dtype=xp.float_dtype),
             )
-            new_values = approximation_step_block(safe_sample, block.bounds, xp=xp)
-        block.values = xp.where(apply_mask, new_values, block.values)
+            new_values = approximation_step_block(
+                safe_sample, block.bounds, xp=xp, axis=axis
+            )
+        block.values = xp.where(_trailing(apply_mask, axes), new_values, block.values)
         history.append(xp.copy(block.values))
 
         completed_now = active & ~failed_round
-        rounds_completed = np.where(completed_now, round_number, rounds_completed)
+        rounds_completed = xp.where(completed_now, round_number, rounds_completed)
         active = completed_now
 
     return _assemble_results(
@@ -703,50 +843,65 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
 
 
 def _injected_values(block: _Block, round_number: int) -> np.ndarray:
-    """Eagerly evaluated strategy reports: ``injected[e, recipient, sender]``.
+    """Eagerly evaluated strategy reports: ``injected[e, recipient, sender, *tail]``.
 
     Tensor-programmed strategies (:meth:`~repro.net.adversary.
     ByzantineValueStrategy.value_tensor`) answer whole ``(pid, program)``
-    groups with one Python call per round — zero per-execution strategy
-    calls; stateless strategies without a tensor form keep the per-execution
-    ``value_block``/``value`` path, issued in the batch engine's order.
-    Non-finite reports are stored as NaN, which the sampling paths treat as
-    omissions (mirroring the message boundary of the protocol skeletons).
-    Only stateless strategies reach this point, so eager evaluation for every
-    recipient is indistinguishable from the batch engine's lazy evaluation.
+    groups with one Python call per round per coordinate — zero
+    per-execution strategy calls; stateless strategies without a tensor form
+    keep the per-execution ``value_block``/``value`` path, issued in the
+    batch engine's order.  A vector block queries every coordinate with the
+    same PRF seeds on that coordinate's own holder values — exactly what the
+    coordinate-wise composition evaluates, since it reuses one strategy
+    instance across its ``d`` scalar executions.  Non-finite reports are
+    stored as NaN, which the sampling paths treat as omissions (mirroring
+    the message boundary of the protocol skeletons).  Only stateless
+    strategies reach this point, so eager evaluation for every recipient is
+    indistinguishable from the batch engine's lazy evaluation.
     """
     count, n = block.count, block.n
     xp = block.xp
-    injected = np.full((count, n, n), np.nan, dtype=np.float64)
+    injected = np.full((count, n, n) + block.tail, np.nan, dtype=np.float64)
+    # One index per coordinate: () for a scalar block, (c,) for a vector one.
+    coordinates = list(np.ndindex(block.tail))
     for pid, representative, rows, seeds in block.strategy_tensor_groups:
-        # Full-information adversary: each execution observes its holder
-        # values (NaN at non-holder slots); one bulk call covers every
-        # member execution of the group.
-        observed = xp.where(block.holder_mask[rows], block.values[rows], xp.nan)
-        reports = representative.value_tensor(round_number, n, observed, seeds)
-        if reports is None:
-            raise ValueError(
-                f"strategy {representative.describe()} declares tensor program "
-                f"{representative.tensor_key()!r} but value_tensor returned None"
+        for c in coordinates:
+            # Full-information adversary: each execution observes its holder
+            # values (NaN at non-holder slots); one bulk call covers every
+            # member execution of the group.
+            observed = xp.where(
+                block.holder_mask[rows], block.values[rows][(Ellipsis,) + c], xp.nan
             )
-        injected[rows, :, pid] = np.asarray(xp.to_numpy(reports), dtype=np.float64)
-    if block.strategy_scalar:
-        observed_lists: Dict[int, List[float]] = {}
-        for e, sender, strategy in block.strategy_scalar:
-            observed = observed_lists.get(e)
+            reports = representative.value_tensor(round_number, n, observed, seeds)
+            if reports is None:
+                raise ValueError(
+                    f"strategy {representative.describe()} declares tensor program "
+                    f"{representative.tensor_key()!r} but value_tensor returned None"
+                )
+            injected[(rows, slice(None), pid) + c] = np.asarray(
+                xp.to_numpy(reports), dtype=np.float64
+            )
+    observed_lists: Dict[Tuple[int, tuple], List[float]] = {}
+    for e, sender, strategy in block.strategy_scalar:
+        for c in coordinates:
+            observed = observed_lists.get((e, c))
             if observed is None:
-                row = np.asarray(xp.to_numpy(block.values[e]), dtype=np.float64)
+                row = np.asarray(
+                    xp.to_numpy(block.values[e][(Ellipsis,) + c]), dtype=np.float64
+                )
                 mask = np.asarray(xp.to_numpy(block.holder_mask[e]))
                 observed = np.sort(row[mask]).tolist()
-                observed_lists[e] = observed
+                observed_lists[(e, c)] = observed
             reports = strategy.value_block(round_number, n, observed)
             if reports is not None:
-                injected[e, :, sender] = np.asarray(reports, dtype=np.float64)
+                injected[(e, slice(None), sender) + c] = np.asarray(
+                    reports, dtype=np.float64
+                )
                 continue
             for recipient in range(n):
                 value = strategy.value(round_number, recipient, observed)
                 if isinstance(value, (int, float)):
-                    injected[e, recipient, sender] = float(value)  # inf -> isfinite no
+                    injected[(e, recipient, sender) + c] = float(value)  # inf -> isfinite no
     # Normalise ±inf to NaN so one mask covers every non-finite report.
     np.copyto(injected, np.nan, where=~np.isfinite(injected))
     return xp.asarray(injected, dtype=xp.float_dtype)
@@ -755,13 +910,23 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
 def _sync_samples(
     block: _Block, cand: np.ndarray, injected: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Size-``n`` synchronous samples with own-value substitution."""
+    """Size-``n`` synchronous samples with own-value substitution.
+
+    A non-finite report degrades to an omission per coordinate (the
+    recipient keeps its own value in that coordinate), matching the
+    composition, where each coordinate's execution drops the report
+    independently.
+    """
     xp = block.xp
-    own = block.values[:, :, None]  # (E, recipient, 1)
-    holder_values = block.values[:, None, :]  # (E, 1, sender)
-    sample = xp.where(cand & block.holder_mask[:, None, :], holder_values, own)
+    axes = len(block.tail)
+    own = block.values[:, :, None]  # (E, recipient, 1, *tail)
+    holder_values = block.values[:, None, :]  # (E, 1, sender, *tail)
+    use_holder = _trailing(cand & block.holder_mask[:, None, :], axes)
+    sample = xp.where(use_holder, holder_values, own)
     if injected is not None:
-        use = cand & block.strategy_mask[:, None, :] & xp.isfinite(injected)
+        use = _trailing(cand & block.strategy_mask[:, None, :], axes) & xp.isfinite(
+            injected
+        )
         sample = xp.where(use, injected, sample)
     return sample
 
@@ -777,13 +942,18 @@ def _async_samples(
     round_number: int,
     m: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quorum samples ``(E, n, m)``, liveness failures, and delivery counts.
+    """Quorum samples ``(E, n, m, *tail)``, liveness failures, delivery counts.
 
     Reproduces the batch engine's per-recipient behaviour: the omission
     policy picks ``m`` candidates, non-finite Byzantine reports degrade to
     omissions and the quorum refills from the remaining candidates in
     ascending sender order, and a recipient that cannot fill its quorum fails
     the execution at that recipient (earlier recipients' deliveries stand).
+    Quorum selection is value-independent, so ONE :func:`_choose_quorums`
+    call serves every coordinate, and starvation fails identically in all
+    of them.  A refill is not: in a vector block it would let quorums
+    diverge between coordinates, so such scenarios raise and route to the
+    coordinate-wise composition.
     """
     count, n = block.count, block.n
     xp = block.xp
@@ -799,14 +969,28 @@ def _async_samples(
     relevant = updates & active[:, None]
     starving = relevant & (cand_count < m)
     if injected is not None:
-        short = relevant & (xp.isfinite(sample).sum(axis=2) < m) & ~starving
+        finite = xp.isfinite(sample)
+        if block.tail:
+            finite = finite.all(axis=-1)
+        short = relevant & (finite.sum(axis=2) < m) & ~starving
     else:
         short = xp.zeros_like(starving)
     failed_at = xp.full(count, n, dtype=xp.int64)
-    if starving.any() or short.any():
+    if short.any():
+        if block.tail:
+            raise EngineCapabilityError(
+                "ndbatch",
+                "non-finite Byzantine reports in vector blocks (a dropped "
+                "report refills its quorum slot per coordinate, which the "
+                "shared-quorum tensor path cannot represent; compose "
+                "coordinate-wise via repro.sim.vector.run_vector_protocol)",
+                ("event",),
+            )
         failed_at = _refill_or_fail(
             block, cand, chosen, sample, starving, short, round_number, m
         )
+    elif starving.any():
+        failed_at = xp.where(starving, xp.arange(n)[None, :], n).min(axis=1)
     failed_round = failed_at < n
 
     quorums_filled = xp.where(
@@ -1166,8 +1350,9 @@ def _assemble_results(
     delivered: np.ndarray,
     rounds_entered: np.ndarray,
     holder_sends: np.ndarray,
-) -> List[ExecutionResult]:
-    count, n = block.count, block.n
+) -> list:
+    count, n, tail = block.count, block.n, block.tail
+    axes = len(tail)
     xp = block.xp
     if not (xp.name == "numpy" and xp.dtype_name == "float64"):
         # Result assembly is host-side: per-execution Python objects are
@@ -1183,19 +1368,24 @@ def _assemble_results(
         delivered = np.asarray(xp.to_numpy(delivered))
         rounds_entered = np.asarray(xp.to_numpy(rounds_entered))
         holder_sends = np.asarray(xp.to_numpy(holder_sends))
-    stacked = np.stack(history)  # (rounds + 1, E, n)
+    stacked = np.stack(history)  # (rounds + 1, E, n, *tail)
 
     # Spread trajectories of every execution at once: diameter of the honest
-    # values after each round (faulty columns masked out of max/min).
-    honest3 = block.honest_mask[None, :, :]
-    traj_all = (
-        np.where(honest3, stacked, -np.inf).max(axis=2)
-        - np.where(honest3, stacked, np.inf).min(axis=2)
-    ).T  # (E, rounds + 1)
+    # values after each round (faulty columns masked out of max/min) —
+    # maximised over coordinates, the ℓ∞ diameter, in a vector block.
+    honest = _trailing(block.honest_mask, axes)
+    diameters = (
+        np.where(honest[None], stacked, -np.inf).max(axis=2)
+        - np.where(honest[None], stacked, np.inf).min(axis=2)
+    )
+    if tail:
+        diameters = diameters.max(axis=-1)
+    traj_all = diameters.T  # (E, rounds + 1)
 
-    # Vectorised fast path of repro.core.problem.validate_outputs for the
-    # common all-correct case; executions failing any check fall back to the
-    # shared checker so reports (violation strings included) stay identical.
+    # Whole-block fast path of the shared checkers (validate_outputs /
+    # validate_vector_outputs) for the common all-correct case; executions
+    # failing any check fall back to the checker so reports (violation
+    # strings included) stay identical.
     eps_ok_bound = block.epsilon * (1.0 + 1e-9)
     output_spread = traj_all[np.arange(count), rounds_completed]
     agreement_ok = output_spread <= eps_ok_bound
@@ -1203,18 +1393,30 @@ def _assemble_results(
     for e, problem in enumerate(block.problems):
         for pid in problem.byzantine:
             byz_mask[e, pid] = True
-    validity_ref = np.where(byz_mask, np.nan, block.inputs_matrix)
-    lo = np.nanmin(validity_ref, axis=1)
+    validity_ref = np.where(_trailing(byz_mask, axes), np.nan, block.inputs)
+    lo = np.nanmin(validity_ref, axis=1)  # (E, *tail)
     hi = np.nanmax(validity_ref, axis=1)
-    slack = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    out_hi = np.where(block.honest_mask, block.values, -np.inf).max(axis=1)
-    out_lo = np.where(block.honest_mask, block.values, np.inf).min(axis=1)
-    validity_ok = (out_lo >= lo - slack) & (out_hi <= hi + slack)
+    # Validity concerns the honest outputs only; park non-honest columns on
+    # the box floor so one whole-block check covers every execution.
+    values_checked = np.where(honest, block.values, lo[:, None])
+    validity_ok = check_box_validity_block(
+        values_checked.reshape(count, n, -1),
+        lo.reshape(count, -1),
+        hi.reshape(count, -1),
+    )
     fast_ok = active & agreement_ok & validity_ok
+
+    if tail:
+        # Per-coordinate costs are the shared counts, so an execution's costs
+        # are those counts times d — exactly the coordinate-wise
+        # composition's totals.
+        messages_sent, bits_sent, delivered, rounds_entered, holder_sends = (
+            tail[0] * counts
+            for counts in (messages_sent, bits_sent, delivered, rounds_entered, holder_sends)
+        )
 
     # Bulk conversions to Python scalars up front: element-wise numpy reads
     # inside the per-execution loop would dominate large blocks.
-    hist_t = np.ascontiguousarray(stacked.transpose(1, 2, 0))  # (E, n, rounds + 1)
     values_rows = block.values.tolist()
     traj_rows = traj_all.tolist()
     spread_list = output_spread.tolist()
@@ -1224,35 +1426,17 @@ def _assemble_results(
     delivered_list = delivered.tolist()
     entered_list = rounds_entered.tolist()
     holder_sends_rows = holder_sends.tolist()
+    if not tail:
+        hist_t = np.ascontiguousarray(stacked.transpose(1, 2, 0))  # (E, n, rounds + 1)
 
-    results: List[ExecutionResult] = []
+    results = []
     for e in range(count):
         problem = block.problems[e]
         decided = bool(active[e])
         completed = completed_list[e]
-        honest = problem.honest
+        honest_ids = problem.honest
         values_row = values_rows[e]
-
-        outputs: Dict[int, Optional[float]] = {
-            pid: (values_row[pid] if decided else None) for pid in honest
-        }
-        if fast_ok[e]:
-            report = ValidationReport(
-                all_decided=True,
-                epsilon_agreement=True,
-                validity=True,
-                output_spread=spread_list[e],
-                outputs=dict(outputs),
-            )
-        else:
-            report = validate_outputs(problem, outputs)
-
-        rows = hist_t[e].tolist()
-        length = 1 + completed  # honest processes never crash, so never truncate
-        value_histories: Dict[int, List[float]] = {
-            pid: rows[pid][:length] for pid in honest
-        }
-        trajectory = traj_rows[e][:length]
+        trajectory = traj_rows[e][: 1 + completed]
 
         stats = NetworkStats()
         stats.messages_sent = messages_list[e]
@@ -1269,6 +1453,55 @@ def _assemble_results(
             if sent:
                 stats.sends_by_process[pid] = sent
 
+        if tail:
+            outputs = {
+                pid: (tuple(values_row[pid]) if decided else None) for pid in honest_ids
+            }
+            if fast_ok[e]:
+                report = VectorValidationReport(
+                    all_decided=True,
+                    linf_agreement=True,
+                    box_validity=True,
+                    max_linf_distance=spread_list[e],
+                    outputs=dict(outputs),
+                )
+            else:
+                byzantine = set(problem.byzantine)
+                reference = [
+                    problem.inputs[pid] for pid in range(n) if pid not in byzantine
+                ]
+                report = validate_vector_outputs(
+                    outputs, reference, block.epsilon, expected_pids=honest_ids
+                )
+            results.append(
+                VectorExecutionResult(
+                    protocol=block.protocol,
+                    dimension=tail[0],
+                    report=report,
+                    outputs=outputs,
+                    coordinate_results=[],
+                    runtime="ndbatch",
+                    stats=stats,
+                    trajectory=tuple(trajectory),
+                    rounds=completed,
+                )
+            )
+            continue
+
+        outputs = {pid: (values_row[pid] if decided else None) for pid in honest_ids}
+        if fast_ok[e]:
+            report = ValidationReport(
+                all_decided=True,
+                epsilon_agreement=True,
+                validity=True,
+                output_spread=spread_list[e],
+                outputs=dict(outputs),
+            )
+        else:
+            report = validate_outputs(problem, outputs)
+        rows = hist_t[e].tolist()
+        # Honest processes never crash, so their histories never truncate.
+        value_histories = {pid: rows[pid][: 1 + completed] for pid in honest_ids}
         results.append(
             ExecutionResult(
                 protocol=block.protocol,
@@ -1284,189 +1517,6 @@ def _assemble_results(
                 wall_time_seconds=0.0,
             )
         )
-    return results
-
-
-# ----------------------------------------------------------------------
-# Vector (multidimensional) blocks: (executions, n, d) on the fast path
-# ----------------------------------------------------------------------
-#
-# Coordinate-wise vector agreement (repro.sim.vector) runs d independent
-# scalar executions over the SAME fault plan, delay model and seeds.  Every
-# structural decision of such an execution — who crashes when, which quorums
-# each recipient picks, which processes are Byzantine — is value-independent
-# (crash schedules are data; quorum selection ranks PRF keys or delay ranks,
-# never values), so all d coordinates share one round structure and the
-# whole composition collapses into ONE block whose value state is an
-# (executions, n, d) tensor:
-#
-# * quorum selection runs once per round (shared across coordinates) —
-#   this, not the kernel, is where the d× win over composition comes from;
-# * Byzantine strategies are evaluated once per coordinate on that
-#   coordinate's observed values (same PRF seeds as the scalar engine), so
-#   a Byzantine sender still "may differ per coordinate" exactly as the
-#   composition allows: value-independent strategies (fixed, equivocate,
-#   random) report identically in every coordinate, observed-dependent ones
-#   (anti-convergence) differ because the observations differ;
-# * the approximation kernel reduces along the multiset axis of an
-#   (executions, n, m, d) gather (``axis=-2``), which is bit-identical to
-#   running it per coordinate.
-#
-# Out-of-model corner cases where the shared structure would break —
-# non-finite Byzantine reports (per-coordinate quorum refill) and stateful
-# per-recipient omission policies — raise EngineCapabilityError pointing at
-# the coordinate-wise composition, which handles both.
-
-
-def run_vector_block(
-    protocol: str,
-    vector_inputs_block: Sequence[Sequence[Sequence[float]]],
-    t: int,
-    epsilon: float,
-    round_policy: Optional[RoundPolicy] = None,
-    fault_models: Optional[Sequence[Optional[RoundFaultModel]]] = None,
-    omission_policies: Optional[Sequence[Optional[OmissionPolicy]]] = None,
-    seeds: Optional[Sequence[int]] = None,
-    strict: bool = True,
-    backend: Optional[str] = None,
-    dtype: Optional[str] = None,
-    budget_bytes: Optional[int] = None,
-    chunk_executions: Optional[int] = None,
-) -> List[VectorExecutionResult]:
-    """Run a block of vector-agreement executions on the vectorised engine.
-
-    ``vector_inputs_block[e]`` is one execution's inputs: ``n`` vectors of a
-    shared dimension ``d`` (ragged inputs fail loudly in
-    :func:`repro.core.multidim.normalize_vector_inputs`).  All executions
-    share ``(protocol, n, t, epsilon, d)`` and the round count; scenario
-    arguments mirror :func:`run_ndbatch_block` exactly.
-
-    ``d == 1`` delegates to the scalar block engine and lifts its results,
-    so one-dimensional vector blocks are bit-identical to scalar ndbatch by
-    construction.  ``d > 1`` runs the shared-structure tensor path described
-    above; with no ``round_policy`` the shared count covers the ℓ∞ input
-    spread (:func:`repro.core.termination.default_vector_round_policy`) —
-    pass the same policy to :func:`repro.sim.vector.run_vector_protocol`
-    when comparing engines.  Memory planning multiplies the value-array
-    terms by ``d`` (:func:`repro.sim.planner.bytes_per_execution`).
-    """
-    if protocol not in NDBATCH_PROTOCOL_BOUNDS:
-        raise EngineCapabilityError(
-            "ndbatch",
-            f"protocol {protocol!r}",
-            capable_engines({f"protocol:{protocol}"}),
-        )
-    count = len(vector_inputs_block)
-    if count == 0:
-        return []
-    normalized = [normalize_vector_inputs(inputs) for inputs in vector_inputs_block]
-    n = len(normalized[0])
-    dimension = len(normalized[0][0])
-    for vectors in normalized[1:]:
-        if len(vectors) != n:
-            raise ValueError("all executions in a block must share n")
-        if len(vectors[0]) != dimension:
-            raise ValueError(
-                "all executions in a vector block must share the dimension d"
-            )
-    if fault_models is None:
-        fault_models = [None] * count
-    if omission_policies is None:
-        omission_policies = [None] * count
-    if seeds is None:
-        seeds = [0] * count
-    if not (len(fault_models) == len(omission_policies) == len(seeds) == count):
-        raise ValueError("vector_inputs_block, fault_models, omission_policies and "
-                         "seeds must have equal lengths")
-
-    if dimension == 1:
-        scalar_block = [[vector[0] for vector in vectors] for vectors in normalized]
-        scalar_results = run_ndbatch_block(
-            protocol,
-            scalar_block,
-            t,
-            epsilon,
-            round_policy=round_policy,
-            fault_models=fault_models,
-            omission_policies=omission_policies,
-            seeds=seeds,
-            strict=strict,
-            backend=backend,
-            dtype=dtype,
-            budget_bytes=budget_bytes,
-            chunk_executions=chunk_executions,
-        )
-        return [_lift_scalar_result(result) for result in scalar_results]
-
-    models = [model if model is not None else RoundFaultModel() for model in fault_models]
-    policies = [
-        policy if policy is not None else SeededOmission(int(seed))
-        for policy, seed in zip(omission_policies, seeds)
-    ]
-    xp = get_namespace(backend, dtype=dtype)
-    bounds = NDBATCH_PROTOCOL_BOUNDS[protocol](n, t)
-    if round_policy is not None:
-        shared_rounds = _upfront_rounds(round_policy, bounds, epsilon)
-        if shared_rounds is None:
-            raise EngineCapabilityError(
-                "ndbatch",
-                f"adaptive round policies ({round_policy.describe()}: the "
-                f"engine requires a round count known upfront)",
-                ("batch", "event"),
-            )
-    else:
-        hints = {
-            _upfront_rounds(
-                default_vector_round_policy(bounds, vectors, epsilon), bounds, epsilon
-            )
-            for vectors in normalized
-        }
-        if len(hints) > 1:
-            raise ValueError(
-                f"executions in one ndbatch block must share the round count, "
-                f"got {sorted(hints)}; group cells by round count first "
-                f"(repro.sim.sweep does this automatically)"
-            )
-        shared_rounds = hints.pop()
-    shared_policy = FixedRounds(int(shared_rounds))
-
-    started = time.perf_counter()
-    if chunk_executions is not None:
-        if chunk_executions < 1:
-            raise ValueError("chunk_executions must be at least 1")
-        chunk = min(count, int(chunk_executions))
-    else:
-        plan = plan_block(
-            count,
-            n,
-            bounds.sample_size,
-            max(1, int(shared_rounds)),
-            dtype=xp.dtype_name,
-            budget_bytes=budget_bytes,
-            dimension=dimension,
-        )
-        chunk = plan.chunk_executions
-    results: List[VectorExecutionResult] = []
-    for start in range(0, count, chunk):
-        stop = min(count, start + chunk)
-        results.extend(
-            _run_vector_chunk(
-                protocol,
-                normalized[start:stop],
-                t,
-                epsilon,
-                shared_policy,
-                models[start:stop],
-                policies[start:stop],
-                strict,
-                xp,
-                dimension,
-            )
-        )
-    wall = time.perf_counter() - started
-    share = wall / count
-    for result in results:
-        result.wall_time_seconds = share
     return results
 
 
@@ -1503,418 +1553,3 @@ def _lift_scalar_result(result: ExecutionResult) -> VectorExecutionResult:
         rounds=result.rounds_used,
         wall_time_seconds=result.wall_time_seconds,
     )
-
-
-def _run_vector_chunk(
-    protocol: str,
-    vectors_chunk: Sequence[Tuple[Tuple[float, ...], ...]],
-    t: int,
-    epsilon: float,
-    round_policy: RoundPolicy,
-    fault_models: Sequence[RoundFaultModel],
-    omission_policies: Sequence[OmissionPolicy],
-    strict: bool,
-    xp: ArrayNamespace,
-    dimension: int,
-) -> List[VectorExecutionResult]:
-    """Advance one chunk of ``(executions, n, d)`` vector executions."""
-    coord0 = [[vector[0] for vector in vectors] for vectors in vectors_chunk]
-    block = _Block(
-        protocol, coord0, t, epsilon, round_policy,
-        fault_models, omission_policies, strict, xp=xp,
-    )
-    if block.generic_idx:
-        sample_policy = block.policies[block.generic_idx[0]]
-        raise EngineCapabilityError(
-            "ndbatch",
-            f"per-recipient omission policies in vector blocks "
-            f"({sample_policy.describe()} answers neither a tensor program nor "
-            f"rank_block, so its quorum draws cannot be shared across "
-            f"coordinates; compose coordinate-wise via "
-            f"repro.sim.vector.run_vector_protocol)",
-            ("event",),
-        )
-    block.dimension = dimension
-    # Replace the structural block's scalar value state with the full
-    # (E, n, d) tensor: corrupted inputs broadcast to every coordinate
-    # (scalar forgeries, as in round_fault_model), non-holders start at NaN.
-    inputs_tensor = np.asarray(vectors_chunk, dtype=np.float64)
-    block.inputs_tensor = inputs_tensor
-    starting = inputs_tensor.copy()
-    for e, model in enumerate(block.fault_models):
-        for pid, forged in model.corrupted_inputs.items():
-            if pid < block.n:
-                starting[e, pid, :] = float(forged)
-    start_dev = xp.asarray(starting, dtype=xp.float_dtype)
-    block.values = xp.where(block.holder_mask[:, :, None], start_dev, xp.nan)
-    return _advance_vector_block(block)
-
-
-def _advance_vector_block(block: _Block) -> List[VectorExecutionResult]:
-    """The scalar round loop over an ``(E, n, d)`` value tensor.
-
-    Mirrors :func:`_advance_block` statement-for-statement; only the value
-    state, samples and injected reports carry the trailing ``d`` axis — the
-    send/update/candidate structure, quorum selection and cost accounting
-    are shared across coordinates (per-coordinate costs are the shared
-    counts times ``d``, applied at assembly).
-    """
-    count, n, m = block.count, block.n, block.bounds.sample_size
-    total_rounds = block.total_rounds
-    xp = block.xp
-    arange_n = xp.arange(n)
-
-    active = xp.ones(count, dtype=bool)
-    rounds_completed = xp.zeros(count, dtype=xp.int64)
-    messages_sent = xp.zeros(count, dtype=xp.int64)
-    bits_sent = xp.zeros(count, dtype=xp.int64)
-    delivered = xp.zeros(count, dtype=xp.int64)
-    rounds_entered = xp.zeros(count, dtype=xp.int64)
-    holder_sends = xp.zeros((count, n), dtype=xp.int64)
-    history = [xp.copy(block.values)]
-    any_strategies = any(block.strategy_ids)
-    clean_values = not any_strategies and not bool(block.silent_mask.any())
-
-    scheduled = xp.where(block.crash_round < _NEVER, block.crash_round, 0)
-    last_crash_round = int(scheduled.max()) if count else 0
-    static_structure = None
-
-    for round_number in range(1, total_rounds + 1):
-        if not active.any():
-            break
-        value_bits = message_bits(Message(kind="VALUE", round=round_number, value=0.0))
-
-        if static_structure is not None:
-            sends, updates, cand, blocked, cand_count, round_sends = static_structure
-        else:
-            before_crash = round_number < block.crash_round
-            sends = xp.where(
-                block.holder_mask & before_crash,
-                n,
-                xp.where(
-                    block.holder_mask & (round_number == block.crash_round),
-                    block.crash_deliveries,
-                    0,
-                ),
-            )
-            updates = block.holder_mask & before_crash
-            cand = block.strategy_mask[:, None, :] | (
-                block.holder_mask[:, None, :]
-                & (arange_n[None, :, None] < sends[:, None, :])
-            )
-            cand &= ~block.silent_mask[:, None, :]
-            cand_count = cand.sum(axis=2)
-            blocked = None if bool((cand_count == n).all()) else ~cand
-            round_sends = sends.sum(axis=1) + n * block.strategy_counts
-            if round_number > last_crash_round:
-                static_structure = (sends, updates, cand, blocked, cand_count, round_sends)
-
-        messages_sent += xp.where(active, round_sends, 0)
-        bits_sent += xp.where(active, round_sends * value_bits, 0)
-        holder_sends += sends * active[:, None]
-        rounds_entered += active
-
-        injected = None
-        if any_strategies:
-            injected = _vector_injected_values(block, round_number)
-
-        if block.synchronous:
-            sample = _vector_sync_samples(block, cand, injected)
-            failed_round = xp.zeros(count, dtype=bool)
-            round_delivered = xp.where(active, updates.sum(axis=1) * n, 0)
-        else:
-            sample, failed_round, round_delivered = _vector_async_samples(
-                block, cand, blocked, cand_count, injected, updates, active,
-                round_number, m,
-            )
-        delivered += round_delivered
-
-        apply_mask = updates & active[:, None] & ~failed_round[:, None]
-        if clean_values and not failed_round.any():
-            new_values = approximation_step_block(
-                sample, block.bounds, validate=False, xp=xp, axis=-2
-            )
-        else:
-            safe_sample = xp.where(
-                apply_mask[:, :, None, None],
-                sample,
-                xp.zeros((1, 1, 1, 1), dtype=xp.float_dtype),
-            )
-            new_values = approximation_step_block(
-                safe_sample, block.bounds, xp=xp, axis=-2
-            )
-        block.values = xp.where(apply_mask[:, :, None], new_values, block.values)
-        history.append(xp.copy(block.values))
-
-        completed_now = active & ~failed_round
-        rounds_completed = xp.where(completed_now, round_number, rounds_completed)
-        active = completed_now
-
-    return _assemble_vector_results(
-        block,
-        history,
-        active,
-        rounds_completed,
-        messages_sent,
-        bits_sent,
-        delivered,
-        rounds_entered,
-        holder_sends,
-    )
-
-
-def _vector_injected_values(block: _Block, round_number: int) -> np.ndarray:
-    """Strategy reports per coordinate: ``injected[e, recipient, sender, c]``.
-
-    One :meth:`~repro.net.adversary.ByzantineValueStrategy.value_tensor`
-    call per ``(sender, program)`` group *per coordinate*, with the same PRF
-    seed vector in every coordinate — exactly what the coordinate-wise
-    composition evaluates, since it reuses one strategy instance across its
-    ``d`` scalar executions.  Observed values are the coordinate's own
-    holder values, so observed-dependent strategies differ per coordinate
-    and value-independent ones repeat — "a Byzantine sender may differ per
-    coordinate" is preserved.
-    """
-    count, n, d = block.count, block.n, block.dimension
-    xp = block.xp
-    injected = np.full((count, n, n, d), np.nan, dtype=np.float64)
-    for pid, representative, rows, seeds in block.strategy_tensor_groups:
-        for c in range(d):
-            observed = xp.where(
-                block.holder_mask[rows], block.values[rows][:, :, c], xp.nan
-            )
-            reports = representative.value_tensor(round_number, n, observed, seeds)
-            if reports is None:
-                raise ValueError(
-                    f"strategy {representative.describe()} declares tensor program "
-                    f"{representative.tensor_key()!r} but value_tensor returned None"
-                )
-            injected[rows, :, pid, c] = np.asarray(
-                xp.to_numpy(reports), dtype=np.float64
-            )
-    for e, sender, strategy in block.strategy_scalar:
-        for c in range(d):
-            row = np.asarray(xp.to_numpy(block.values[e][:, c]), dtype=np.float64)
-            mask = np.asarray(xp.to_numpy(block.holder_mask[e]))
-            observed = np.sort(row[mask]).tolist()
-            reports = strategy.value_block(round_number, n, observed)
-            if reports is not None:
-                injected[e, :, sender, c] = np.asarray(reports, dtype=np.float64)
-                continue
-            for recipient in range(n):
-                value = strategy.value(round_number, recipient, observed)
-                if isinstance(value, (int, float)):
-                    injected[e, recipient, sender, c] = float(value)
-    np.copyto(injected, np.nan, where=~np.isfinite(injected))
-    return xp.asarray(injected, dtype=xp.float_dtype)
-
-
-def _vector_sync_samples(
-    block: _Block, cand: np.ndarray, injected: Optional[np.ndarray]
-) -> np.ndarray:
-    """Size-``n`` synchronous samples ``(E, n, n, d)`` with own-value substitution.
-
-    A non-finite report degrades to an omission per coordinate (the
-    recipient keeps its own value in that coordinate), matching the
-    composition, where each coordinate's execution drops the report
-    independently.
-    """
-    xp = block.xp
-    own = block.values[:, :, None, :]  # (E, recipient, 1, d)
-    holder_values = block.values[:, None, :, :]  # (E, 1, sender, d)
-    use_holder = (cand & block.holder_mask[:, None, :])[:, :, :, None]
-    sample = xp.where(use_holder, holder_values, own)
-    if injected is not None:
-        use = (cand & block.strategy_mask[:, None, :])[:, :, :, None] & xp.isfinite(
-            injected
-        )
-        sample = xp.where(use, injected, sample)
-    return sample
-
-
-def _vector_async_samples(
-    block: _Block,
-    cand: np.ndarray,
-    blocked: Optional[np.ndarray],
-    cand_count: np.ndarray,
-    injected: Optional[np.ndarray],
-    updates: np.ndarray,
-    active: np.ndarray,
-    round_number: int,
-    m: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quorum samples ``(E, n, m, d)``, liveness failures, delivery counts.
-
-    Quorum selection is value-independent, so ONE :func:`_choose_quorums`
-    call serves every coordinate.  Starvation (fewer candidates than ``m``)
-    is likewise value-independent and fails the execution at the first
-    starving recipient, identically in all coordinates.  What the shared
-    structure cannot represent is a *non-finite* Byzantine report: the
-    scalar engine refills that quorum slot per coordinate, which would let
-    quorums diverge between coordinates — those scenarios raise and route
-    to the coordinate-wise composition.
-    """
-    count, n = block.count, block.n
-    xp = block.xp
-    chosen = _choose_quorums(
-        block, cand, blocked, cand_count, updates, active, round_number, m
-    )
-    sample = _gather_samples(block, chosen, injected)
-
-    relevant = updates & active[:, None]
-    starving = relevant & (cand_count < m)
-    if injected is not None:
-        finite_rows = xp.isfinite(sample).all(axis=-1).all(axis=-1)  # (E, n)
-        short = relevant & ~finite_rows & ~starving
-        if bool(short.any()):
-            raise EngineCapabilityError(
-                "ndbatch",
-                "non-finite Byzantine reports in vector blocks (a dropped "
-                "report refills its quorum slot per coordinate, which the "
-                "shared-quorum tensor path cannot represent; compose "
-                "coordinate-wise via repro.sim.vector.run_vector_protocol)",
-                ("event",),
-            )
-    failed_at = xp.full(count, n, dtype=xp.int64)
-    if bool(starving.any()):
-        position = xp.where(starving, xp.arange(n)[None, :], n)
-        failed_at = position.min(axis=1)
-    failed_round = failed_at < n
-
-    quorums_filled = xp.where(
-        failed_round[:, None],
-        (xp.arange(n)[None, :] < failed_at[:, None]) & relevant,
-        relevant,
-    ).sum(axis=1)
-    round_delivered = quorums_filled * m
-    return sample, failed_round, round_delivered
-
-
-def _assemble_vector_results(
-    block: _Block,
-    history: List[np.ndarray],
-    active: np.ndarray,
-    rounds_completed: np.ndarray,
-    messages_sent: np.ndarray,
-    bits_sent: np.ndarray,
-    delivered: np.ndarray,
-    rounds_entered: np.ndarray,
-    holder_sends: np.ndarray,
-) -> List[VectorExecutionResult]:
-    count, n, d = block.count, block.n, block.dimension
-    xp = block.xp
-    if not (xp.name == "numpy" and xp.dtype_name == "float64"):
-        history = [np.asarray(xp.to_numpy(row), dtype=np.float64) for row in history]
-        block.values = np.asarray(xp.to_numpy(block.values), dtype=np.float64)
-        block.honest_mask = np.asarray(xp.to_numpy(block.honest_mask))
-        active = np.asarray(xp.to_numpy(active))
-        rounds_completed = np.asarray(xp.to_numpy(rounds_completed))
-        messages_sent = np.asarray(xp.to_numpy(messages_sent))
-        bits_sent = np.asarray(xp.to_numpy(bits_sent))
-        delivered = np.asarray(xp.to_numpy(delivered))
-        rounds_entered = np.asarray(xp.to_numpy(rounds_entered))
-        holder_sends = np.asarray(xp.to_numpy(holder_sends))
-    stacked = np.stack(history)  # (rounds + 1, E, n, d)
-
-    # Per-round ℓ∞ honest diameter: the per-coordinate diameter (faulty
-    # columns masked out of max/min), maximised over coordinates.
-    honest4 = block.honest_mask[None, :, :, None]
-    traj_all = (
-        (
-            np.where(honest4, stacked, -np.inf).max(axis=2)
-            - np.where(honest4, stacked, np.inf).min(axis=2)
-        )
-        .max(axis=-1)
-        .T
-    )  # (E, rounds + 1)
-
-    # Whole-block fast path of validate_vector_outputs for the common
-    # all-correct case; executions failing any check fall back to the shared
-    # checker so reports (violation strings included) stay identical.
-    eps_ok_bound = block.epsilon * (1.0 + 1e-9)
-    output_spread = traj_all[np.arange(count), rounds_completed]
-    agreement_ok = output_spread <= eps_ok_bound
-    byz_mask = np.zeros((count, n), dtype=bool)
-    for e, problem in enumerate(block.problems):
-        for pid in problem.byzantine:
-            byz_mask[e, pid] = True
-    validity_ref = np.where(byz_mask[:, :, None], np.nan, block.inputs_tensor)
-    lo = np.nanmin(validity_ref, axis=1)  # (E, d)
-    hi = np.nanmax(validity_ref, axis=1)
-    # Box validity concerns the honest outputs only; park non-honest columns
-    # on the box floor so one whole-block check covers every execution.
-    values_checked = np.where(block.honest_mask[:, :, None], block.values, lo[:, None, :])
-    validity_ok = check_box_validity_block(values_checked, lo, hi)
-    fast_ok = active & agreement_ok & validity_ok
-
-    values_list = block.values.tolist()
-    inputs_list = block.inputs_tensor.tolist()
-    traj_rows = traj_all.tolist()
-    spread_list = output_spread.tolist()
-    completed_list = np.asarray(rounds_completed).tolist()
-    messages_list = np.asarray(messages_sent).tolist()
-    bits_list = np.asarray(bits_sent).tolist()
-    delivered_list = np.asarray(delivered).tolist()
-    entered_list = np.asarray(rounds_entered).tolist()
-    holder_sends_rows = np.asarray(holder_sends).tolist()
-
-    results: List[VectorExecutionResult] = []
-    for e in range(count):
-        problem = block.problems[e]
-        decided = bool(active[e])
-        completed = completed_list[e]
-        honest = problem.honest
-        values_row = values_list[e]
-
-        outputs: Dict[int, Optional[Tuple[float, ...]]] = {
-            pid: (tuple(values_row[pid]) if decided else None) for pid in honest
-        }
-        if fast_ok[e]:
-            report = VectorValidationReport(
-                all_decided=True,
-                linf_agreement=True,
-                box_validity=True,
-                max_linf_distance=spread_list[e],
-                outputs={pid: vector for pid, vector in outputs.items()},
-            )
-        else:
-            byzantine = set(problem.byzantine)
-            reference = [
-                tuple(inputs_list[e][pid]) for pid in range(n) if pid not in byzantine
-            ]
-            report = validate_vector_outputs(
-                outputs, reference, block.epsilon, expected_pids=honest
-            )
-
-        # Per-coordinate costs are identical (shared structure), so the
-        # whole execution's costs are the shared counts times d — exactly
-        # the coordinate-wise composition's totals.
-        stats = NetworkStats()
-        stats.messages_sent = d * messages_list[e]
-        stats.bits_sent = d * bits_list[e]
-        stats.messages_delivered = d * delivered_list[e]
-        if stats.messages_sent:
-            stats.messages_by_kind["VALUE"] = stats.messages_sent
-        sends_row = holder_sends_rows[e]
-        strategy_ids = block.strategy_ids[e]
-        for pid in range(n):
-            sent = sends_row[pid]
-            if pid in strategy_ids:
-                sent = n * entered_list[e]
-            if sent:
-                stats.sends_by_process[pid] = d * sent
-
-        results.append(
-            VectorExecutionResult(
-                protocol=block.protocol,
-                dimension=d,
-                report=report,
-                outputs=outputs,
-                coordinate_results=[],
-                runtime="ndbatch",
-                stats=stats,
-                trajectory=tuple(traj_rows[e][: 1 + completed]),
-                rounds=completed,
-            )
-        )
-    return results

@@ -40,6 +40,7 @@ Typical use::
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -71,6 +72,7 @@ from repro.core.rounds import (
 )
 from repro.core.multidim import normalize_vector_inputs
 from repro.core.multiset import spread
+from repro.core.protocol import ResilienceError
 from repro.core.termination import (
     FixedRounds,
     default_round_policy,
@@ -164,6 +166,16 @@ PROTOCOL_BOUNDS: Dict[str, Callable[[int, int], AlgorithmBounds]] = {
     "sync-crash": sync_crash_bounds,
     "sync-byzantine": sync_byzantine_bounds,
 }
+
+
+@functools.lru_cache(maxsize=1024)
+def _resilience_ok(protocol: str, n: int, t: int) -> bool:
+    """Whether ``(n, t)`` lies inside the protocol's resilience bound.
+
+    Cached because every cell of a grid point asks the same question, and
+    each cell is validated twice (at grid expansion and at dispatch).
+    """
+    return PROTOCOL_BOUNDS[protocol](n, t).resilience_ok
 
 
 class AdversaryBundle(NamedTuple):
@@ -515,12 +527,22 @@ class SweepCell:
             or not math.isfinite(self.epsilon)
         ):
             raise ValueError(f"epsilon must be a finite number, got {self.epsilon!r}")
+        if self.epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         for name, value in (("seed", self.seed), ("dimension", self.dimension)):
             # bool is an int subclass: dimension=True would run as d=1.
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.protocol not in PROTOCOL_FACTORIES:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        if not _resilience_ok(self.protocol, self.n, self.t):
+            # Every engine runs cells strictly, so this cell could only fail
+            # (once per engine attempt); reject it before any dispatch.
+            raise ResilienceError(
+                f"(n, t) = ({self.n}, {self.t}) is outside the resilience bound "
+                f"of {self.protocol}: it does not tolerate t={self.t} faults "
+                f"with n={self.n}"
+            )
         if self.adversary not in ADVERSARY_SPECS:
             raise ValueError(f"unknown adversary {self.adversary!r}")
         if self.adversary_params:
@@ -1073,28 +1095,12 @@ def _run_ndbatch_chunk(chunk) -> List[CellOutcome]:
             else SeededOmission(cell.seed)
         )
     bounds = PROTOCOL_BOUNDS[first.protocol](first.n, first.t)
-    if first.dimension > 1:
-        # Blocks group by dimension (see _group_ndbatch_blocks), so the whole
-        # chunk runs the (executions, n, d) tensor fast path.
-        vector_results = run_vector_block(
-            first.protocol,
-            inputs_block,
-            t=first.t,
-            epsilon=first.epsilon,
-            round_policy=FixedRounds(rounds),
-            fault_models=fault_models,
-            omission_policies=policies,
-            seeds=[cell.seed for cell in cells],
-            strict=True,
-            backend=options.get("backend"),
-            dtype=options.get("dtype"),
-            budget_bytes=options.get("budget_bytes"),
-        )
-        return [
-            _outcome_from_vector_result(cell, result, bounds)
-            for cell, result in zip(cells, vector_results)
-        ]
-    results = run_ndbatch_block(
+    # Blocks group by dimension (see _group_ndbatch_blocks), so the whole
+    # chunk runs one engine call: the (executions, n, d) tensor path for
+    # d > 1.  Both engines are looked up by module-global name at call time,
+    # so instrumentation that rebinds those names sees every call.
+    vector = first.dimension > 1
+    results = (run_vector_block if vector else run_ndbatch_block)(
         first.protocol,
         inputs_block,
         t=first.t,
@@ -1102,15 +1108,14 @@ def _run_ndbatch_chunk(chunk) -> List[CellOutcome]:
         round_policy=FixedRounds(rounds),
         fault_models=fault_models,
         omission_policies=policies,
+        seeds=[cell.seed for cell in cells],
         strict=True,
         backend=options.get("backend"),
         dtype=options.get("dtype"),
         budget_bytes=options.get("budget_bytes"),
     )
-    return [
-        _outcome_from_result(cell, result, bounds)
-        for cell, result in zip(cells, results)
-    ]
+    outcome = _outcome_from_vector_result if vector else _outcome_from_result
+    return [outcome(cell, result, bounds) for cell, result in zip(cells, results)]
 
 
 def _run_ndbatch_group(group) -> List[List[CellOutcome]]:

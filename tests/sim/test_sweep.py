@@ -13,9 +13,11 @@ import time
 
 from repro.analysis.tables import render_records
 from repro.sim import NDBATCH_PROTOCOLS
+from repro.core.protocol import ResilienceError
 from repro.sim.batch import BATCH_PROTOCOLS
 from repro.sim.engine import numpy_available
 from repro.sim.metrics import CostSummary
+from repro.sim.resilient import RetryPolicy
 from repro.sim.runner import PROTOCOL_FACTORIES
 from repro.sim.sweep import (
     ADVERSARY_SPECS,
@@ -108,9 +110,40 @@ class TestCellBoundary:
         with pytest.raises(ValueError, match="seed must be an int"):
             self.cell(seed=seed).validate()
 
+    @pytest.mark.parametrize("epsilon", [0, 0.0, -0.0, -1e-3, -5])
+    def test_non_positive_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            self.cell(epsilon=epsilon).validate()
+
+    @pytest.mark.parametrize(
+        "protocol, n, t",
+        [
+            ("async-crash", 4, 2),
+            ("async-byzantine", 5, 1),
+            ("witness", 6, 2),
+            ("sync-crash", 2, 2),
+            ("sync-byzantine", 6, 2),
+        ],
+    )
+    def test_out_of_bound_system_size_rejected(self, protocol, n, t):
+        # Every engine would raise this per cell (and retry= would retry it,
+        # then quarantine it); the cell boundary rejects it once.
+        with pytest.raises(ResilienceError, match=rf"\(n, t\) = \({n}, {t}\)"):
+            self.cell(protocol=protocol, n=n, t=t).validate()
+
+    def test_out_of_bound_cells_fail_before_any_cell_runs(self, tmp_path):
+        # The in-bound (7, 2) cells come first in grid order: lazy validation
+        # would run and persist them before reaching the (4, 2) cells.
+        spec = dataclasses.replace(SPEC, system_sizes=((7, 2), (4, 2)))
+        path = tmp_path / "sweep.jsonl"
+        with pytest.raises(ResilienceError, match="async-crash"):
+            run_sweep(spec, jsonl_path=str(path), retry=RetryPolicy())
+        assert not path.exists()
+
     def test_spec_rejects_before_dispatch(self):
         for spec in (
             dataclasses.replace(SPEC, epsilon=math.nan),
+            dataclasses.replace(SPEC, epsilon=0.0),
             dataclasses.replace(SPEC, dimensions=(True,)),
             dataclasses.replace(SPEC, seeds=(0, False)),
         ):
