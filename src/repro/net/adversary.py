@@ -210,9 +210,17 @@ class ByzantineValueStrategy(abc.ABC):
         pre-mixed seeds (:meth:`tensor_seed`).  Returns an ``(E, n)`` array
         whose row ``e`` equals ``[value(round, 0, observed_e), …]`` bit for
         bit, where ``observed_e`` is row ``e``'s non-NaN values — non-finite
-        reports degrade to omissions at the engine boundary.  Strategies with
-        a non-``None`` :meth:`tensor_key` must answer; others return
-        ``None``.  Requires numpy (only bulk callers use it).
+        reports degrade to omissions at the engine boundary.
+
+        Rows are independent: row ``e`` of the answer depends only on
+        ``observed[e]`` and ``seed_mix[e]``, so stacking, permuting or
+        duplicating rows permutes the answer's rows and changes no bit.
+        The vectorised engine relies on it to answer every coordinate of a
+        vector block in one call (row ``r·d + c`` is coordinate ``c`` of
+        execution ``r``); ``tests/property/test_fault_tensor.py`` pins it
+        for the shipped strategies.  Strategies with a non-``None``
+        :meth:`tensor_key` must answer; others return ``None``.  Requires
+        numpy (only bulk callers use it).
         """
         return None
 
@@ -701,6 +709,21 @@ class StaggeredExclusionDelay(DelayModel):
             "staggered-exclusion",
             self.n, self.exclude, self.fast, self.slow, self.stride, self.phase,
         )
+
+    def delay_tensor(self, round_number: int, n: int, seed_mix, out=None, scratch=None):
+        """Closed form of the round's matrix, as a zero-stride broadcast.
+
+        Equals probing :meth:`delay` pair by pair (numpy's integer ``%``
+        floors like Python's, so negative strides and phases agree), without
+        the ``n²`` Python calls of the generic probe.
+        """
+        import numpy as np
+
+        shift = (self.stride * round_number + self.phase) % self.n
+        start = (np.arange(n, dtype=np.int64) + shift) % self.n
+        offset = (np.arange(n, dtype=np.int64)[None, :] - start[:, None]) % self.n
+        matrix = np.where(offset < self.exclude, float(self.slow), float(self.fast))
+        return np.broadcast_to(matrix, (len(seed_mix), n, n))
 
 
 class TargetedDelay(DelayModel):

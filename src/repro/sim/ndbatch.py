@@ -85,9 +85,15 @@ one integer sort per round:
   exact order the pure-Python engine would issue them (rounds ascending,
   recipients ascending), so stateful policies stay reproducible.
 
-The chosen senders' values (and Byzantine reports, built directly in
-``(executions, recipient, sender, *tail)`` layout) are then gathered with
-one flat ``take`` each.
+The chosen senders' values are then gathered with one flat ``take``.
+Byzantine reports are stored compactly, ``(executions, recipient, slot,
+*tail)`` with one slot per strategy sender — at most ``t`` of the ``n``
+sender columns ever carry a report — and a block-constant route table maps
+every ``(execution, recipient, sender)`` to a holder value or a report
+slot, so blocks with strategies gather through one integer and one float
+``take``.  The finiteness check runs on those reports: a round whose
+reports are all finite skips the sample-wide scan and the kernel's, since
+every value it can gather is then finite.
 
 Byzantine value strategies must be ``stateless`` (pure functions of
 ``(round, recipient, observed)``); the engine evaluates them eagerly for
@@ -95,11 +101,12 @@ every recipient.  Strategies declaring a tensor program
 (:meth:`~repro.net.adversary.ByzantineValueStrategy.tensor_key`) are grouped
 by ``(sender, program)`` and answered with one
 :meth:`~repro.net.adversary.ByzantineValueStrategy.value_tensor` call per
-round per group (per coordinate) — Byzantine and anti-convergence rounds
-issue **zero** per-execution Python strategy calls (asserted by
+round per group, a vector block's coordinates folded into the rows of that
+call — Byzantine and anti-convergence rounds issue **zero** per-execution
+Python strategy calls (asserted by
 ``tests/sim/test_fault_tensor_engine.py``).  Stateful strategies and
-adaptive round policies raise a documented error pointing at the pure-Python
-engine, which supports both.
+adaptive round policies raise a documented error pointing at the
+pure-Python engine, which supports both.
 
 Results carry runtime tag ``"ndbatch"`` and the same schema as the other
 engines, so the metrics, convergence-analysis and table pipelines apply
@@ -298,18 +305,6 @@ class _Block:
                     self.crash_deliveries[e, pid] = deliveries
             for pid in self.problems[e].faulty:
                 self.honest_mask[e, pid] = False
-        self.strategy_tensor_groups: List[Tuple[int, object, np.ndarray, np.ndarray]] = [
-            (
-                pid,
-                self.fault_models[members[0]].strategies[pid],
-                np.asarray(members, dtype=np.intp),
-                np.asarray(
-                    [self.fault_models[e].strategies[pid].tensor_seed() for e in members],
-                    dtype=np.uint64,
-                ),
-            )
-            for (pid, _key), members in strategy_groups.items()
-        ]
         self.holder_mask = ~self.strategy_mask & ~self.silent_mask
         # Crash schedules only apply to value holders (a Byzantine replacement
         # supersedes a crash point, as in the round_fault_model adapter).
@@ -317,6 +312,53 @@ class _Block:
         self.crash_deliveries = np.where(self.holder_mask, self.crash_deliveries, 0)
         self.values = np.where(_trailing(self.holder_mask, len(self.tail)), starting, np.nan)
         self.strategy_counts = self.strategy_mask.sum(axis=1).astype(np.int64)
+
+        # --- compact Byzantine reports ----------------------------------
+        # Reports live in an (E, n, k, *tail) tensor, k the largest number
+        # of strategy senders in any execution: strategy_slot[e, s] is the
+        # sender's slot (ascending pid order; -1 for non-strategy senders).
+        # route[e, q, s] addresses what recipient q receives from sender s in
+        # the flat gather source concat(values (E·n, *tail), reports
+        # (E·n·k, *tail)): e·n + s for a holder or silent sender,
+        # E·n + (e·n + q)·k + slot for a strategy sender.  Both exist only
+        # for blocks with strategies.
+        self.report_slots = int(self.strategy_counts.max()) if count else 0
+        self.strategy_slot: Optional[np.ndarray] = None
+        self.route: Optional[np.ndarray] = None
+        if self.report_slots:
+            k = self.report_slots
+            self.strategy_slot = np.where(
+                self.strategy_mask, np.cumsum(self.strategy_mask, axis=1) - 1, -1
+            )
+            base = np.arange(count, dtype=np.int64)[:, None, None] * n
+            self.route = np.where(
+                self.strategy_mask[:, None, :],
+                count * n
+                + (base + np.arange(n, dtype=np.int64)[None, :, None]) * k
+                + self.strategy_slot[:, None, :],
+                base + np.arange(n, dtype=np.int64)[None, None, :],
+            )
+        # One value_tensor call per group per round answers every coordinate:
+        # row r·d + c of the folded query is coordinate c of member r, so
+        # each member's seed repeats d times.
+        fold = int(np.prod(self.tail, dtype=np.int64))
+        self.strategy_tensor_groups: List[
+            Tuple[object, np.ndarray, np.ndarray, np.ndarray]
+        ] = [
+            (
+                self.fault_models[members[0]].strategies[pid],
+                np.asarray(members, dtype=np.intp),
+                np.repeat(
+                    np.asarray(
+                        [self.fault_models[e].strategies[pid].tensor_seed() for e in members],
+                        dtype=np.uint64,
+                    ),
+                    fold,
+                ),
+                self.strategy_slot[members, pid],
+            )
+            for (pid, _key), members in strategy_groups.items()
+        ]
 
         # --- quorum-selection mode partition ---------------------------
         # "seeded": every policy is a SeededOmission — keys computed natively
@@ -423,6 +465,8 @@ class _Block:
         self.holder_mask = xp.asarray(self.holder_mask)
         self.strategy_counts = xp.asarray(self.strategy_counts)
         self.seed_mix = xp.asarray(self.seed_mix)
+        if self.route is not None:
+            self.route = xp.asarray(self.route)
         if self.rank_probe is not None:
             self.rank_probe = xp.asarray(self.rank_probe)
 
@@ -739,8 +783,7 @@ def _advance_block(block: _Block) -> list:
     rounds_entered = xp.zeros(count, dtype=xp.int64)
     holder_sends = xp.zeros((count, n), dtype=xp.int64)
     history = [xp.copy(block.values)]
-    any_strategies = any(block.strategy_ids)
-    clean_values = not any_strategies and not bool(block.silent_mask.any())
+    silent = bool(block.silent_mask.any())
 
     # The crash model's send/update/candidate structure changes only while a
     # crash point lies ahead; past the last scheduled crash it is identical
@@ -790,9 +833,9 @@ def _advance_block(block: _Block) -> list:
 
         # Full-information adversary: strategies observe every holder value
         # at round entry.
-        injected = None
-        if any_strategies:
-            injected = _injected_values(block, round_number)
+        injected, finite = None, True
+        if block.route is not None:
+            injected, finite = _injected_values(block, round_number)
 
         if block.synchronous:
             sample = _sync_samples(block, cand, injected)
@@ -800,16 +843,17 @@ def _advance_block(block: _Block) -> list:
             round_delivered = xp.where(active, updates.sum(axis=1) * n, 0)
         else:
             sample, failed_round, round_delivered = _async_samples(
-                block, cand, blocked, cand_count, injected, updates, active,
-                round_number, m,
+                block, cand, blocked, cand_count, injected, finite, updates,
+                active, round_number, m,
             )
         delivered += round_delivered
 
         apply_mask = updates & active[:, None] & ~failed_round[:, None]
-        if clean_values and not failed_round.any():
-            # Crash-only blocks gather exclusively finite holder values, so
-            # the placeholder fill and the kernel's finiteness scan are
-            # provably redundant.
+        if finite and not silent and not failed_round.any():
+            # Every applied row gathers only holder values and finite
+            # reports (crash-only blocks: holder values alone), so the
+            # placeholder fill and the kernel's finiteness scan are provably
+            # redundant; the where on apply_mask drops every other row.
             new_values = approximation_step_block(
                 sample, block.bounds, validate=False, xp=xp, axis=axis
             )
@@ -842,47 +886,58 @@ def _advance_block(block: _Block) -> list:
     )
 
 
-def _injected_values(block: _Block, round_number: int) -> np.ndarray:
-    """Eagerly evaluated strategy reports: ``injected[e, recipient, sender, *tail]``.
+def _injected_values(block: _Block, round_number: int) -> Tuple[np.ndarray, bool]:
+    """This round's gather source and whether every strategy report is finite.
+
+    Reports are stored compactly as ``reports[e, recipient, slot, *tail]``,
+    one slot per strategy sender of the execution (:class:`_Block`), and
+    returned appended to the flattened value state: the flat source
+    ``concat(values (E·n, *tail), reports (E·n·k, *tail))`` that
+    ``block.route`` indexes, so one ``take`` gathers holder values and
+    reports alike.
 
     Tensor-programmed strategies (:meth:`~repro.net.adversary.
     ByzantineValueStrategy.value_tensor`) answer whole ``(pid, program)``
-    groups with one Python call per round per coordinate — zero
-    per-execution strategy calls; stateless strategies without a tensor form
+    groups with one Python call per round — zero per-execution strategy
+    calls.  A vector block folds its coordinates into the rows of that call:
+    row ``r·d + c`` observes coordinate ``c`` of member ``r``'s holder
+    values under ``r``'s seed, which is what the coordinate-wise
+    composition evaluates (it reuses one strategy instance across its ``d``
+    scalar executions) because a ``value_tensor`` row depends only on its
+    own observations and seed.  Stateless strategies without a tensor form
     keep the per-execution ``value_block``/``value`` path, issued in the
-    batch engine's order.  A vector block queries every coordinate with the
-    same PRF seeds on that coordinate's own holder values — exactly what the
-    coordinate-wise composition evaluates, since it reuses one strategy
-    instance across its ``d`` scalar executions.  Non-finite reports are
-    stored as NaN, which the sampling paths treat as omissions (mirroring
-    the message boundary of the protocol skeletons).  Only stateless
-    strategies reach this point, so eager evaluation for every recipient is
-    indistinguishable from the batch engine's lazy evaluation.
+    batch engine's order; only stateless strategies reach this point, so
+    eager evaluation for every recipient is indistinguishable from the batch
+    engine's lazy evaluation.
+
+    The finiteness check runs on the reports alone.  When one is non-finite,
+    every non-finite report is stored as NaN, which the sampling paths treat
+    as an omission (mirroring the message boundary of the protocol
+    skeletons).
     """
-    count, n = block.count, block.n
+    count, n, tail = block.count, block.n, block.tail
     xp = block.xp
-    injected = np.full((count, n, n) + block.tail, np.nan, dtype=np.float64)
+    reports = np.full((count, n, block.report_slots) + tail, np.nan, dtype=np.float64)
+    # Full-information adversary: each execution observes its holder values
+    # (NaN at non-holder slots), folded to folded[e, c, :] per coordinate.
+    folded = xp.where(_trailing(block.holder_mask, len(tail)), block.values, xp.nan)
+    folded = xp.moveaxis(folded, 1, -1).reshape(count, -1, n)
+    for representative, rows, seeds, slots in block.strategy_tensor_groups:
+        answer = representative.value_tensor(
+            round_number, n, folded[rows].reshape(-1, n), seeds
+        )
+        if answer is None:
+            raise ValueError(
+                f"strategy {representative.describe()} declares tensor program "
+                f"{representative.tensor_key()!r} but value_tensor returned None"
+            )
+        answer = np.asarray(xp.to_numpy(answer), dtype=np.float64)
+        reports[rows, :, slots] = np.moveaxis(answer.reshape((-1,) + tail + (n,)), -1, 1)
     # One index per coordinate: () for a scalar block, (c,) for a vector one.
-    coordinates = list(np.ndindex(block.tail))
-    for pid, representative, rows, seeds in block.strategy_tensor_groups:
-        for c in coordinates:
-            # Full-information adversary: each execution observes its holder
-            # values (NaN at non-holder slots); one bulk call covers every
-            # member execution of the group.
-            observed = xp.where(
-                block.holder_mask[rows], block.values[rows][(Ellipsis,) + c], xp.nan
-            )
-            reports = representative.value_tensor(round_number, n, observed, seeds)
-            if reports is None:
-                raise ValueError(
-                    f"strategy {representative.describe()} declares tensor program "
-                    f"{representative.tensor_key()!r} but value_tensor returned None"
-                )
-            injected[(rows, slice(None), pid) + c] = np.asarray(
-                xp.to_numpy(reports), dtype=np.float64
-            )
+    coordinates = list(np.ndindex(tail))
     observed_lists: Dict[Tuple[int, tuple], List[float]] = {}
     for e, sender, strategy in block.strategy_scalar:
+        slot = block.strategy_slot[e, sender]
         for c in coordinates:
             observed = observed_lists.get((e, c))
             if observed is None:
@@ -892,19 +947,22 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
                 mask = np.asarray(xp.to_numpy(block.holder_mask[e]))
                 observed = np.sort(row[mask]).tolist()
                 observed_lists[(e, c)] = observed
-            reports = strategy.value_block(round_number, n, observed)
-            if reports is not None:
-                injected[(e, slice(None), sender) + c] = np.asarray(
-                    reports, dtype=np.float64
-                )
+            answer = strategy.value_block(round_number, n, observed)
+            if answer is not None:
+                reports[(e, slice(None), slot) + c] = np.asarray(answer, dtype=np.float64)
                 continue
             for recipient in range(n):
                 value = strategy.value(round_number, recipient, observed)
                 if isinstance(value, (int, float)):
-                    injected[(e, recipient, sender) + c] = float(value)  # inf -> isfinite no
-    # Normalise ±inf to NaN so one mask covers every non-finite report.
-    np.copyto(injected, np.nan, where=~np.isfinite(injected))
-    return xp.asarray(injected, dtype=xp.float_dtype)
+                    reports[(e, recipient, slot) + c] = float(value)
+    reports = xp.asarray(reports, dtype=xp.float_dtype)
+    finite = bool(xp.isfinite(reports).all())
+    if not finite:
+        # Normalise ±inf to NaN so one mask covers every non-finite report.
+        reports = xp.where(xp.isfinite(reports), reports, xp.nan)
+    values = block.values.reshape((count * n,) + tail)
+    source = xp.concatenate([values, reports.reshape((-1,) + tail)])
+    return source, finite
 
 
 def _sync_samples(
@@ -912,23 +970,22 @@ def _sync_samples(
 ) -> np.ndarray:
     """Size-``n`` synchronous samples with own-value substitution.
 
-    A non-finite report degrades to an omission per coordinate (the
-    recipient keeps its own value in that coordinate), matching the
-    composition, where each coordinate's execution drops the report
-    independently.
+    With strategy reports, one ``take`` of the flat source through
+    ``block.route`` yields what every sender offers every recipient, and
+    one ``where`` keeps the candidates' finite offers.  A non-finite report
+    thus degrades to an omission per coordinate (the recipient keeps its own
+    value in that coordinate), matching the composition, where each
+    coordinate's execution drops the report independently.
     """
     xp = block.xp
     axes = len(block.tail)
     own = block.values[:, :, None]  # (E, recipient, 1, *tail)
-    holder_values = block.values[:, None, :]  # (E, 1, sender, *tail)
-    use_holder = _trailing(cand & block.holder_mask[:, None, :], axes)
-    sample = xp.where(use_holder, holder_values, own)
-    if injected is not None:
-        use = _trailing(cand & block.strategy_mask[:, None, :], axes) & xp.isfinite(
-            injected
-        )
-        sample = xp.where(use, injected, sample)
-    return sample
+    if injected is None:
+        holder_values = block.values[:, None, :]  # (E, 1, sender, *tail)
+        use_holder = _trailing(cand & block.holder_mask[:, None, :], axes)
+        return xp.where(use_holder, holder_values, own)
+    full = xp.take(injected, block.route, axis=0)  # (E, recipient, sender, *tail)
+    return xp.where(_trailing(cand, axes) & xp.isfinite(full), full, own)
 
 
 def _async_samples(
@@ -937,6 +994,7 @@ def _async_samples(
     blocked: Optional[np.ndarray],
     cand_count: np.ndarray,
     injected: Optional[np.ndarray],
+    finite: bool,
     updates: np.ndarray,
     active: np.ndarray,
     round_number: int,
@@ -954,6 +1012,11 @@ def _async_samples(
     of them.  A refill is not: in a vector block it would let quorums
     diverge between coordinates, so such scenarios raise and route to the
     coordinate-wise composition.
+
+    ``injected`` is the round's gather source (:func:`_injected_values`),
+    ``None`` without strategies; ``finite`` says every report in it is
+    finite, in which case no sample can hold a non-finite value and the
+    sample-wide finiteness scan is skipped.
     """
     count, n = block.count, block.n
     xp = block.xp
@@ -964,15 +1027,15 @@ def _async_samples(
 
     # Liveness / refill bookkeeping.  In-model scenarios never enter either
     # branch: the candidate set always has >= m members and only Byzantine
-    # strategies can inject non-finite values (so crash-only blocks skip the
-    # finiteness scan entirely).
+    # strategies can inject non-finite values (so crash-only blocks and
+    # rounds whose reports are all finite skip the finiteness scan).
     relevant = updates & active[:, None]
     starving = relevant & (cand_count < m)
-    if injected is not None:
-        finite = xp.isfinite(sample)
+    if not finite:
+        usable = xp.isfinite(sample)
         if block.tail:
-            finite = finite.all(axis=-1)
-        short = relevant & (finite.sum(axis=2) < m) & ~starving
+            usable = usable.all(axis=-1)
+        short = relevant & (usable.sum(axis=2) < m) & ~starving
     else:
         short = xp.zeros_like(starving)
     failed_at = xp.full(count, n, dtype=xp.int64)
@@ -1008,33 +1071,25 @@ def _gather_samples(
     """The chosen senders' values: ``(E, n, m)``, or ``(E, n, m, d)`` for
     an ``(E, n, d)`` value state.
 
-    Each gather is one flat ``take``: ``e * n + sender`` addresses the
-    flattened ``(E * n[, d])`` value state, and a Byzantine sender's report
-    to recipient ``q`` sits at ``(e * n + q) * n + sender`` of the
-    ``(E, recipient, sender[, d])`` report tensor.
+    Without strategies (``injected is None``) the gather is one flat
+    ``take``: ``e * n + sender`` addresses the flattened ``(E * n[, d])``
+    value state.  With them, one integer ``take`` looks the chosen senders
+    up in ``block.route`` (``route[e, q, sender]`` sits at
+    ``(e * n + q) * n + sender`` of the flattened table) and one float
+    ``take`` reads the flat source of :func:`_injected_values`, holder
+    values and compact reports alike.
     """
     count, n = block.count, block.n
     xp = block.xp
+    flat = block.buffer("gather.flat", chosen.shape, xp.int64)
+    if injected is not None:
+        rows = xp.arange(count * n, dtype=xp.int64).reshape(count, n, 1) * n
+        xp.add(chosen, rows, out=flat)
+        return xp.take(injected, xp.take(block.route.reshape(-1), flat), axis=0)
     values = block.values
     tail = tuple(values.shape[2:])
-    flat = block.buffer("gather.flat", chosen.shape, xp.int64)
     xp.add(chosen, (xp.arange(count, dtype=xp.int64) * n)[:, None, None], out=flat)
-    sample = xp.take(values.reshape((count * n,) + tail), flat, axis=0)
-    if injected is not None:
-        strategy_chosen = xp.take(block.strategy_mask.reshape(-1), flat)
-        if strategy_chosen.any():
-            # (e * n + sender) + (e * n + q) * n - e * n == (e * n + q) * n + sender
-            to_report = (
-                xp.arange(count, dtype=xp.int64)[:, None, None] * (n * n - n)
-                + xp.arange(n, dtype=xp.int64)[None, :, None] * n
-            )
-            reports = xp.take(
-                injected.reshape((count * n * n,) + tail), flat + to_report, axis=0
-            )
-            if tail:
-                strategy_chosen = strategy_chosen[..., None]
-            sample = xp.where(strategy_chosen, reports, sample)
-    return sample
+    return xp.take(values.reshape((count * n,) + tail), flat, axis=0)
 
 
 def _choose_quorums(

@@ -123,17 +123,19 @@ def bytes_per_execution(
 
     * candidate mask ``(n, n)`` bool + uint64 rank keys ``(n, n)`` + sorted
       copy ``(n, n)`` — quorum selection;
-    * injected-report tensor ``(n, n)`` float (Byzantine blocks; charged
-      unconditionally — the model must not depend on the adversary);
+    * Byzantine report routing, an ``(n, n)`` float term (charged
+      unconditionally — the model must not depend on the adversary; the
+      engine holds an ``(n, n)`` int64 route table and ``(n, k, d)``
+      compact reports, ``k ≤ t``);
     * gathered sample ``(n, m)`` float plus the kernel's sorted copy;
     * value history ``(rounds + 1, n)`` float plus ~8 per-``(count, n)``
       int64/bool bookkeeping vectors.
 
     ``dimension`` scales every *value-carrying* term by ``d`` — vector
     blocks (:func:`repro.sim.ndbatch.run_vector_block`) gather
-    ``(executions, n, m, d)`` samples and ``(n, n, d)`` injected reports —
-    while quorum selection and the integer bookkeeping stay ``d``-free
-    (quorums are chosen once and shared across coordinates).
+    ``(executions, n, m, d)`` samples — while quorum selection and the
+    integer bookkeeping stay ``d``-free (quorums are chosen once and shared
+    across coordinates).
 
     Intermediate temporaries (``np.where`` products) are covered by the
     ×2 headroom the chunk computation applies in :func:`plan_block`.
@@ -147,7 +149,7 @@ def bytes_per_execution(
     item = _itemsize(dtype) * dimension
     per_round = (
         n * n * (1 + 8 + 8)  # cand bool + uint64 keys + sorted keys
-        + n * n * item  # injected reports
+        + n * n * item  # Byzantine report routing
         + 2 * n * m * item  # sample + the kernel's sorted copy
     )
     bookkeeping = 8 * n * 8 + (rounds + 1) * n * item

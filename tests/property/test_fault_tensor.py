@@ -135,6 +135,68 @@ class TestValueTensorEqualsScalar:
         assert list(tensor[1]) == [0.0, 0.0, 0.0, 0.0]
 
 
+class TestValueTensorRowIndependence:
+    """Row ``e`` of a ``value_tensor`` answer depends only on ``observed[e]``
+    and ``seed_mix[e]``.  The vectorised engine relies on it to fold a
+    vector block's coordinates into the rows of one call, so any stacking,
+    permutation or duplication of rows must reproduce the per-row calls bit
+    for bit."""
+
+    @staticmethod
+    def _shipped(seed):
+        return [
+            FixedValueStrategy(-7.25),
+            EquivocatingStrategy(-1.0, 2.0),
+            RandomValueStrategy(-2.0, 3.0, seed=seed),
+            AntiConvergenceStrategy(stretch=0.5),
+            AntiConvergenceStrategy(stretch=0.0, parity=1),
+        ]
+
+    @given(
+        seed=seeds,
+        round_number=rounds,
+        n=sizes,
+        observed=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(-1e6, 1e6, allow_nan=False), st.just(float("nan"))
+                ),
+                min_size=4,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        row_seeds=st.lists(seeds, min_size=5, max_size=5),
+        order=st.permutations(range(5)),
+        duplicates=st.lists(st.integers(0, 4), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_rows_equal_per_row_calls(
+        self, seed, round_number, n, observed, row_seeds, order, duplicates
+    ):
+        # Rows may be NaN-padded (nothing observed at that slot) or entirely
+        # NaN (nothing observed at all).
+        rows = len(observed)
+        picks = [i % rows for i in list(order) + duplicates]
+        stacked_observed = np.asarray([observed[i] for i in picks], dtype=np.float64)
+        stacked_seeds = np.asarray([row_seeds[i] for i in picks], dtype=np.uint64)
+        for strategy in self._shipped(seed):
+            stacked = np.asarray(
+                strategy.value_tensor(round_number, n, stacked_observed, stacked_seeds)
+            )
+            assert stacked.shape == (len(picks), n)
+            for row, i in enumerate(picks):
+                alone = np.asarray(
+                    strategy.value_tensor(
+                        round_number, n,
+                        np.asarray([observed[i]], dtype=np.float64),
+                        np.asarray([row_seeds[i]], dtype=np.uint64),
+                    )
+                )
+                assert stacked[row].tobytes() == alone[0].tobytes(), strategy.describe()
+
+
 class TestDelayTensorEqualsScalar:
     @given(seed=seeds, round_number=rounds, n=sizes)
     @settings(max_examples=30, deadline=None)
@@ -177,6 +239,35 @@ class TestDelayTensorEqualsScalar:
             )
             for row in tensor:
                 assert np.array_equal(row, expected)
+
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        data=st.data(),
+        stride=st.one_of(st.just(0), st.integers(-50, 50)),
+        phase=st.one_of(st.just(0), st.integers(-100, 100)),
+        round_numbers=st.lists(rounds, min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_staggered_closed_form_matches_probes(
+        self, n, data, stride, phase, round_numbers
+    ):
+        # The closed form relies on numpy's integer % flooring like
+        # Python's for negative strides and phases.
+        exclude = data.draw(st.integers(min_value=0, max_value=n - 1))
+        model = StaggeredExclusionDelay(
+            n, exclude=exclude, fast=0.5, slow=7.0, stride=stride, phase=phase
+        )
+        for round_number in [0] + round_numbers:
+            tensor = model.delay_tensor(round_number, n, np.zeros(3, dtype=np.uint64))
+            assert tensor.shape == (3, n, n)
+            # A zero-stride broadcast: the engine orders it once per round.
+            assert tensor.strides[0] == 0
+            probe = Message(kind="VALUE", round=round_number, value=0.0)
+            for recipient in range(n):
+                for sender in range(n):
+                    assert tensor[0, recipient, sender] == model.delay(
+                        sender, recipient, probe, float(round_number)
+                    )
 
 
 class TestRankTensorEqualsScalar:

@@ -24,10 +24,14 @@ import pytest
 pytest.importorskip("numpy", reason="the vectorised engine requires numpy")
 
 from repro.net.adversary import (
+    AntiConvergenceStrategy,
+    ByzantineValueStrategy,
     DelayRankOmission,
+    EquivocatingStrategy,
     FixedValueStrategy,
     LaggardDelay,
     PartitionDelay,
+    RandomValueStrategy,
     RoundFaultModel,
     SeededDelay,
     StaggeredExclusionDelay,
@@ -97,8 +101,9 @@ SMOKE = [
 ]
 
 
-def assert_engines_agree(batch, ndbatch, context):
-    """The full differential bar between the two round-level engines."""
+def assert_engines_agree(batch, ndbatch, context, tolerance=TOLERANCE):
+    """The full differential bar between the two round-level engines
+    (``tolerance`` bounds the real-valued differences)."""
     # Exact: everything integer-valued.
     assert batch.rounds_used == ndbatch.rounds_used, context
     assert batch.stats.messages_sent == ndbatch.stats.messages_sent, context
@@ -116,16 +121,16 @@ def assert_engines_agree(batch, ndbatch, context):
         if value is None:
             assert other is None, context
         else:
-            assert abs(value - other) <= TOLERANCE, f"{context}: output of P{pid}"
+            assert abs(value - other) <= tolerance, f"{context}: output of P{pid}"
     assert len(batch.trajectory) == len(ndbatch.trajectory), context
     for left, right in zip(batch.trajectory, ndbatch.trajectory):
-        assert abs(left - right) <= TOLERANCE, context
+        assert abs(left - right) <= tolerance, context
     assert set(batch.value_histories) == set(ndbatch.value_histories), context
     for pid, history in batch.value_histories.items():
         other = ndbatch.value_histories[pid]
         assert len(history) == len(other), f"{context}: history length of P{pid}"
         for left, right in zip(history, other):
-            assert abs(left - right) <= TOLERANCE, f"{context}: history of P{pid}"
+            assert abs(left - right) <= tolerance, f"{context}: history of P{pid}"
 
 
 def run_both(protocol, n, t, adversary, workload, seed):
@@ -343,8 +348,8 @@ class TestTiesAndMasks:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_found_anti_stagger_vector_block_matches_composition(self, seed):
         # d = 3: one shared-order selection per round serves every
-        # coordinate, and Byzantine reports are gathered from the
-        # (E, recipient, sender, d) tensor; the coordinate-wise batch
+        # coordinate, and Byzantine reports are gathered from the compact
+        # (E, recipient, slot, d) tensor; the coordinate-wise batch
         # composition (fresh adversary per coordinate) is the exact oracle.
         from repro.core.termination import FixedRounds
 
@@ -386,6 +391,166 @@ class TestTiesAndMasks:
             assert len(vector.trajectory) == len(coordinates[0].trajectory), context
             for spread, widest in zip(vector.trajectory, spreads):
                 assert abs(spread - max(widest)) <= TOLERANCE, context
+
+
+class _ExtremesStrategy(ByzantineValueStrategy):
+    """A stateless strategy with no tensor form: the engines query it through
+    ``value_block`` (which answers ``None``) and then per-recipient
+    ``value`` calls."""
+
+    stateless = True
+
+    def __init__(self, pull: float) -> None:
+        self.pull = pull
+
+    def value(self, round_number, recipient, observed):
+        if recipient % 3 == 0:
+            return min(observed) - self.pull
+        return max(observed) + self.pull / round_number
+
+
+#: Float tolerance of each value dtype against the float64 batch engine
+#: (float32 as pinned in tests/sim/test_planner.py).
+DTYPE_TOLERANCE = {"float64": TOLERANCE, "float32": 1e-5}
+
+
+def run_models_against_batch(protocol, n, t, models, dtype, context, rounds=6):
+    """One ndbatch block of fault ``models`` against one batch run each."""
+    from repro.core.termination import FixedRounds
+
+    policy = FixedRounds(rounds)
+    seeds = list(range(len(models)))
+    inputs_block = [WORKLOAD_SPECS["two-cluster"](n, seed) for seed in seeds]
+    block = run_ndbatch_block(
+        protocol, inputs_block, t=t, epsilon=EPSILON, round_policy=policy,
+        fault_models=models, seeds=seeds, dtype=dtype,
+    )
+    for seed, inputs, model, ndbatch in zip(seeds, inputs_block, models, block):
+        batch = run_batch_protocol(
+            protocol, inputs, t=t, epsilon=EPSILON, round_policy=policy,
+            fault_model=model, seed=seed,
+        )
+        assert_engines_agree(
+            batch, ndbatch, f"{context} execution {seed}", DTYPE_TOLERANCE[dtype]
+        )
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+class TestCompactReportLayout:
+    """Byzantine reports live in an ``(E, n, k, *tail)`` tensor with one slot
+    per strategy sender, gathered through a per-block route table.  These
+    blocks vary the slot count per execution and put strategies at pids
+    whose slot differs from the pid, so a misrouted report shows up as a
+    differential failure against the batch engine."""
+
+    @staticmethod
+    def mixed_models(n, t):
+        # 0, 1 and t strategies per execution at non-top pids, tensor
+        # programs beside a strategy with no tensor form.
+        return [
+            RoundFaultModel(),
+            RoundFaultModel(strategies={3: AntiConvergenceStrategy(stretch=0.1)}),
+            RoundFaultModel(
+                strategies={
+                    1: RandomValueStrategy(0.3, 0.7, seed=4),
+                    4: _ExtremesStrategy(0.3),
+                }
+            ),
+            RoundFaultModel(
+                strategies={
+                    0: EquivocatingStrategy(-1.0, 2.0),
+                    t + 3: AntiConvergenceStrategy(stretch=0.2, parity=1),
+                }
+            ),
+            RoundFaultModel(
+                strategies={
+                    1: RandomValueStrategy(0.3, 0.7, seed=11),
+                    2: _ExtremesStrategy(0.05),
+                }
+            ),
+        ]
+
+    @pytest.mark.parametrize(
+        "protocol,n,t", [("async-byzantine", 11, 2), ("sync-byzantine", 7, 2)]
+    )
+    def test_mixed_slot_counts_and_value_paths(self, protocol, n, t, dtype):
+        run_models_against_batch(
+            protocol, n, t, self.mixed_models(n, t), dtype, f"mixed slots {protocol}"
+        )
+
+    def test_vector_block_routes_every_coordinate(self, dtype):
+        # The coordinate fold answers all d coordinates of a tensor group in
+        # one value_tensor call; each coordinate must still equal its own
+        # scalar block bit for bit, slots and routes included.
+        from repro.core.termination import FixedRounds
+
+        protocol, n, t, d = "async-byzantine", 11, 2, 3
+        models = self.mixed_models(n, t)
+        seeds = list(range(len(models)))
+        # Positions scaled into [0, 1], the range the strategies report in.
+        vectors_block = [
+            [[x / 100.0 for x in point] for point in VECTOR_WORKLOAD_SPECS["rendezvous"](n, d, s)]
+            for s in seeds
+        ]
+        kwargs = dict(
+            t=t, epsilon=EPSILON, round_policy=FixedRounds(6), fault_models=models,
+            seeds=seeds, dtype=dtype,
+        )
+        vector = run_vector_block(protocol, vectors_block, **kwargs)
+        for c in range(d):
+            scalar = run_ndbatch_block(
+                protocol, [[v[c] for v in vectors] for vectors in vectors_block], **kwargs
+            )
+            for seed, (v, s) in enumerate(zip(vector, scalar)):
+                assert v.rounds_used == s.rounds_used, seed
+                for pid, output in s.outputs.items():
+                    assert v.outputs[pid][c] == output, (seed, c, pid)
+
+    def test_sync_non_finite_reports_degrade_to_own_value(self, dtype):
+        protocol, n, t = "sync-byzantine", 7, 2
+        models = [
+            RoundFaultModel(
+                strategies={
+                    1: FixedValueStrategy(float("nan")),
+                    4: FixedValueStrategy(float("inf")),
+                }
+            ),
+            RoundFaultModel(
+                strategies={
+                    0: FixedValueStrategy(float("-inf")),
+                    5: AntiConvergenceStrategy(stretch=0.1),
+                }
+            ),
+            RoundFaultModel(strategies={3: FixedValueStrategy(float("nan"))}),
+        ]
+        run_models_against_batch(protocol, n, t, models, dtype, "sync non-finite")
+
+    def test_async_non_finite_report_still_refills(self, dtype, monkeypatch):
+        # One finite and one non-finite strategy in the same round: the
+        # round's reports are not all finite, so it must take the checked
+        # path and refill the quorums the NaN sender was chosen into.
+        import repro.sim.ndbatch as ndbatch
+
+        refills = []
+        refill = ndbatch._refill_or_fail
+
+        def counted(*args, **kwargs):
+            refills.append(1)
+            return refill(*args, **kwargs)
+
+        monkeypatch.setattr(ndbatch, "_refill_or_fail", counted)
+        protocol, n, t = "async-byzantine", 11, 2
+        models = [
+            RoundFaultModel(
+                strategies={
+                    2: FixedValueStrategy(float("nan")),
+                    6: AntiConvergenceStrategy(stretch=0.1),
+                }
+            ),
+            RoundFaultModel(strategies={4: AntiConvergenceStrategy(stretch=0.1)}),
+        ]
+        run_models_against_batch(protocol, n, t, models, dtype, "async non-finite")
+        assert refills, "the non-finite report never reached the refill path"
 
 
 @pytest.mark.slow
